@@ -2,10 +2,9 @@
 // figures on the simulated SSD (deliverable d). By default it runs at
 // quick scale; -full uses the larger scaled device of DESIGN.md §5 and
 // -micro the fastest CI-smoke scale.
-// Seven replay modes skip the figures: -parallel hammers the sharded
-// translation core with concurrent host streams, -openloop replays
-// a trace file (native, MSR CSV, or FIU format) at its recorded arrival
-// times against all three schemes, reporting p50/p95/p99/p999 latency
+// Six replay modes skip the figures: -openloop replays a trace file
+// (native, MSR CSV, or FIU format) at its recorded arrival times
+// against all three schemes, reporting p50/p95/p99/p999 latency
 // (-autotune runs LeaFTL with the adaptive per-group γ controller),
 // -gccompare sweeps GC victim policies × hot/cold stream counts
 // over GC-heavy workloads (-gc-policy/-gc-streams also apply a single
@@ -40,10 +39,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure IDs to run (e.g. fig15,fig16)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	markdown := flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	parallel := flag.Int("parallel", 0, "parallel replay mode: N independent host streams against the sharded translation core (skips figures)")
-	shards := flag.Int("shards", 8, "shard count for the parallel replay mode")
-	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the parallel and open-loop replay modes")
-	jsonOut := flag.String("json", "", "parallel/open-loop replay modes: write JSON results to this file (- for stdout)")
+	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the replay and sweep modes")
+	jsonOut := flag.String("json", "", "replay and sweep modes: write JSON results to this file (- for stdout)")
 	openloop := flag.Bool("openloop", false, "open-loop replay mode: replay -trace at recorded arrival times against LeaFTL/DFTL/SFTL (skips figures)")
 	tracePath := flag.String("trace", "traces/msr-sample.csv", "open-loop replay mode: trace file to replay")
 	traceFormat := flag.String("trace-format", "auto", "open-loop replay mode: trace format (auto, native, msr, fiu)")
@@ -170,13 +167,6 @@ func main() {
 		}
 		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, *autotune, *gammaTarget, w, *journal); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallel > 0 {
-		if err := runParallel(*parallel, *shards, *gamma, *seed, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: parallel: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -16,26 +16,7 @@ import (
 // transfer as counts of translation-page flash operations so the SSD can
 // charge them on its flash timelines.
 //
-// The Pager is deliberately oblivious to where group state lives: it
-// drives a groupStore, implemented by both Table and ShardedTable, so the
-// plain and sharded schemes share one GMD and make identical paging
-// decisions for identical operation sequences (the sharded-invisible
-// contract the experiment suite pins).
-//
-// A Pager is not safe for concurrent use; callers that translate from
-// multiple goroutines (leaftl.Sharded) serialize paging behind their own
-// lock and keep a lock-free fast path for the no-pressure case.
-
-// groupStore is the residency surface the Pager drives.
-type groupStore interface {
-	hasGroup(addr.GroupID) bool
-	groupFootprint(addr.GroupID) int
-	residentGroups() []addr.GroupID
-	marshalGroup(addr.GroupID) ([]byte, error)
-	installGroup([]byte) (addr.GroupID, error)
-	dropGroup(addr.GroupID) (int, bool)
-	residentBytes() int
-}
+// A Pager is not safe for concurrent use.
 
 // PageCost counts translation-page flash operations a paging action
 // induced: reads for demand loads, writes for dirty evictions and
@@ -95,7 +76,7 @@ type gmdEntry struct {
 
 // Pager demand-pages a table's segment groups against a byte budget.
 type Pager struct {
-	store    groupStore
+	table    *Table
 	pageSize int
 	budget   int // ≤ 0: unlimited (loads still happen for evicted groups)
 
@@ -156,14 +137,14 @@ func (p *Pager) SetJournalHook(fn func(string)) {
 	}
 }
 
-// NewPager returns an inactive pager (no budget, empty GMD) over store.
+// NewPager returns an inactive pager (no budget, empty GMD) over table.
 // pageSize is the flash page size translation-page costs are counted in.
-func NewPager(store groupStore, pageSize int) *Pager {
+func NewPager(table *Table, pageSize int) *Pager {
 	if pageSize < 1 {
 		pageSize = 1
 	}
 	return &Pager{
-		store:    store,
+		table:    table,
 		pageSize: pageSize,
 		gmd:      make(map[addr.GroupID]*gmdEntry),
 		fast:     true,
@@ -180,7 +161,7 @@ func (p *Pager) imagePages(n int) int {
 }
 
 // SetBudget sets the resident-set byte budget (≤ 0 disables the cap) and
-// adopts any groups already resident in the store so their dirtiness is
+// adopts any groups already resident in the table so their dirtiness is
 // tracked from here on. It does not evict; the next Enforce does.
 func (p *Pager) SetBudget(bytes int) {
 	p.budget = bytes
@@ -223,19 +204,19 @@ func (p *Pager) TranslationPages() int { return p.flashPages }
 // FullSizeBytes returns the complete mapping size, resident or not.
 // Groups restored from images that were never decoded count 0 until
 // first loaded.
-func (p *Pager) FullSizeBytes() int { return p.store.residentBytes() + p.evictedBytes }
+func (p *Pager) FullSizeBytes() int { return p.table.SizeBytes() + p.evictedBytes }
 
 // refresh recomputes the cached FastPath bit. Size only changes under
-// mutation, so lookups can trust the cache without touching the store.
+// mutation, so lookups can trust the cache without touching the table.
 func (p *Pager) refresh() {
-	p.fast = p.evicted == 0 && (p.budget <= 0 || p.store.residentBytes() <= p.budget)
+	p.fast = p.evicted == 0 && (p.budget <= 0 || p.table.SizeBytes() <= p.budget)
 }
 
-// adoptResident creates GMD entries for store-resident groups the pager
+// adoptResident creates GMD entries for table-resident groups the pager
 // has not seen (budget enabled after traffic, or a snapshot restore).
 // Adopted groups are dirty: no image exists yet.
 func (p *Pager) adoptResident() {
-	for _, id := range p.store.residentGroups() {
+	for _, id := range p.table.ResidentGroups() {
 		if p.gmd[id] == nil {
 			p.gmd[id] = &gmdEntry{resident: true, dirty: true, ref: true}
 			p.ring = append(p.ring, id)
@@ -245,11 +226,11 @@ func (p *Pager) adoptResident() {
 
 // EnsureRead makes gid resident for a lookup. known is false when the
 // group has no state anywhere (never written); the caller treats the
-// LPA as unmapped without touching the store.
+// LPA as unmapped without touching the table.
 func (p *Pager) EnsureRead(gid addr.GroupID) (cost PageCost, known bool) {
 	e := p.gmd[gid]
 	if e == nil {
-		if !p.store.hasGroup(gid) {
+		if !p.table.HasGroup(gid) {
 			return cost, false
 		}
 		// Self-heal: a resident group the GMD missed (defensive; the
@@ -283,7 +264,7 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) PageCost {
 	return cost
 }
 
-// load demand-loads an evicted group back into the store: from its GMD
+// load demand-loads an evicted group back into the table: from its GMD
 // image, or — under the journal — by replaying its base image plus
 // delta chain, charging every distinct flash page the chain touches.
 func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
@@ -291,7 +272,7 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 	if p.journal != nil {
 		img, cost = p.journal.load(gid)
 	}
-	if _, err := p.store.installGroup(img); err != nil {
+	if _, err := p.table.InstallGroup(img); err != nil {
 		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
 	}
 	e.resident = true
@@ -316,7 +297,7 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 func (p *Pager) Enforce() PageCost {
 	var cost PageCost
 	if p.budget > 0 {
-		for p.store.residentBytes() > p.budget && len(p.ring) > 0 {
+		for p.table.SizeBytes() > p.budget && len(p.ring) > 0 {
 			cost.Add(p.evictOne())
 		}
 	}
@@ -346,7 +327,7 @@ func (p *Pager) evictOne() PageCost {
 // diverged, then drop the DRAM copy.
 func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 	var cost PageCost
-	if !p.store.hasGroup(gid) {
+	if !p.table.HasGroup(gid) {
 		// Phantom entry (group registered but never materialized);
 		// forget it.
 		delete(p.gmd, gid)
@@ -360,7 +341,7 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 	if e.dirty || !persisted {
 		cost.Add(p.writeback(gid, e))
 	}
-	freed, _ := p.store.dropGroup(gid)
+	freed, _ := p.table.DropGroup(gid)
 	e.dramBytes = freed
 	e.resident = false
 	e.dirty = false
@@ -376,7 +357,7 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 // Under the journal, the full rewrite becomes a delta append: only the
 // sections that changed since the group's base image travel to flash.
 func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) PageCost {
-	img, err := p.store.marshalGroup(gid)
+	img, err := p.table.MarshalGroup(gid)
 	if err != nil {
 		panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
 	}
@@ -430,7 +411,7 @@ func (p *Pager) FlushDirty() PageCost {
 	p.adoptResident() // groups created outside the budgeted path, if any
 	for _, gid := range p.ring {
 		e := p.gmd[gid]
-		if e.dirty && p.store.hasGroup(gid) {
+		if e.dirty && p.table.HasGroup(gid) {
 			cost.Add(p.writeback(gid, e))
 		}
 	}
@@ -518,7 +499,7 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		if e := p.gmd[gid]; e != nil {
 			return fmt.Errorf("core: group %d already in the GMD", gid)
 		}
-		if p.store.hasGroup(gid) {
+		if p.table.HasGroup(gid) {
 			return fmt.Errorf("core: group %d already resident; restore wants an empty table", gid)
 		}
 		p.nextPPA++
@@ -542,7 +523,7 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 	return nil
 }
 
-// Check audits the GMD against the store: residency bits, ring
+// Check audits the GMD against the table: residency bits, ring
 // membership, flash-page accounting, and the budget cap. It is the
 // mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
@@ -573,9 +554,9 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: resident group %d missing from the CLOCK ring", gid)
 		case !e.resident && onRing[gid]:
 			return fmt.Errorf("gmd: evicted group %d still on the CLOCK ring", gid)
-		case e.resident && !p.store.hasGroup(gid):
+		case e.resident && !p.table.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked resident but absent from the table", gid)
-		case !e.resident && p.store.hasGroup(gid):
+		case !e.resident && p.table.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked evicted but present in the table", gid)
 		case !e.resident && !persisted:
 			return fmt.Errorf("gmd: evicted group %d has no translation-page image", gid)
@@ -587,7 +568,7 @@ func (p *Pager) Check() error {
 			evictedBytes += e.dramBytes
 		}
 	}
-	for _, gid := range p.store.residentGroups() {
+	for _, gid := range p.table.ResidentGroups() {
 		if e := p.gmd[gid]; e == nil {
 			return fmt.Errorf("gmd: table group %d has no GMD entry", gid)
 		}
@@ -608,22 +589,8 @@ func (p *Pager) Check() error {
 			return err
 		}
 	}
-	if p.budget > 0 && p.store.residentBytes() > p.budget {
-		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.store.residentBytes(), p.budget)
+	if p.budget > 0 && p.table.SizeBytes() > p.budget {
+		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.table.SizeBytes(), p.budget)
 	}
 	return nil
 }
-
-// groupStore adapters. Table's lowercase methods simply forward;
-// ShardedTable's take the owning shard's lock per call, so one shared
-// Pager makes identical decisions over either flavor.
-
-func (t *Table) hasGroup(id addr.GroupID) bool                { return t.HasGroup(id) }
-func (t *Table) groupFootprint(id addr.GroupID) int           { return t.GroupFootprint(id) }
-func (t *Table) residentGroups() []addr.GroupID               { return t.ResidentGroups() }
-func (t *Table) marshalGroup(id addr.GroupID) ([]byte, error) { return t.MarshalGroup(id) }
-func (t *Table) installGroup(b []byte) (addr.GroupID, error)  { return t.InstallGroup(b) }
-func (t *Table) dropGroup(id addr.GroupID) (int, bool)        { return t.DropGroup(id) }
-func (t *Table) residentBytes() int                           { return t.SizeBytes() }
-
-var _ groupStore = (*Table)(nil)

@@ -19,8 +19,7 @@ import (
 // full Segment structs.
 //
 // Table is not safe for concurrent use by multiple writers; Lookup and the
-// other read-only accessors never touch the mutation scratch, so a Table
-// behind a read-write lock supports concurrent readers (see ShardedTable).
+// other read-only accessors never touch the mutation scratch.
 type Table struct {
 	gamma   int
 	groups  []*group // indexed by GroupID; nil = group never written

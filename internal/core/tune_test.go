@@ -221,50 +221,3 @@ func TestInstallGroupRejectsExcessGamma(t *testing.T) {
 		t.Fatalf("matching-bound install failed: %v", err)
 	}
 }
-
-// TestShardedTuneMatchesPlain: identical feedback drives identical
-// retune decisions through the sharded table.
-func TestShardedTuneMatchesPlain(t *testing.T) {
-	plain := NewTable(8)
-	sharded := NewShardedTable(8, 7)
-	var pairs []addr.Mapping
-	lpa := addr.LPA(0)
-	for i := 0; i < 2000; i++ {
-		lpa += addr.LPA(1 + i%4)
-		pairs = append(pairs, addr.Mapping{LPA: lpa, PPA: addr.PPA(5000 + i)})
-	}
-	plain.Update(pairs)
-	sharded.Update(pairs)
-
-	for i, m := range pairs {
-		miss := i%17 == 0
-		actual := m.PPA
-		if miss {
-			actual += 2
-		}
-		plain.NoteRead(m.LPA, m.PPA, actual, true, false)
-		sharded.NoteRead(m.LPA, m.PPA, actual, true, false)
-	}
-	cfg := TuneConfig{TargetMissRatio: 0.02, MinReads: 16}
-	pc, sc := plain.RetuneGamma(cfg), sharded.RetuneGamma(cfg)
-	if len(pc) != len(sc) {
-		t.Fatalf("changed sets differ: %d vs %d groups", len(pc), len(sc))
-	}
-	for i := range pc {
-		if pc[i] != sc[i] {
-			t.Fatalf("changed[%d] = %d vs %d", i, pc[i], sc[i])
-		}
-	}
-	pt, st := plain.GroupTunes(), sharded.GroupTunes()
-	if len(pt) != len(st) {
-		t.Fatalf("tune counts differ: %d vs %d", len(pt), len(st))
-	}
-	for i := range pt {
-		if pt[i] != st[i] {
-			t.Fatalf("tune state diverged at %d: %+v vs %+v", i, pt[i], st[i])
-		}
-	}
-	if plain.MaxGroupGamma() != sharded.MaxGroupGamma() {
-		t.Error("MaxGroupGamma diverged")
-	}
-}

@@ -54,25 +54,24 @@ type CoreSweepRun struct {
 
 // CoreSweep replays one timed workload open-loop through the real
 // multi-queue front end at each worker count, on identical warmed
-// devices (sharded translation core, the multi-core configuration).
-// Requests are timed on per-worker logical clocks, so the virtual
-// makespan shrinks — and kIOPS grows — as workers absorb arrival bursts
-// in parallel, while the submission-order ticket keeps the final device
-// state bit-identical across the whole sweep.
+// devices. Requests are timed on per-worker logical clocks, so the
+// virtual makespan shrinks — and kIOPS grows — as workers absorb arrival
+// bursts in parallel, while the submission-order ticket keeps the final
+// device state bit-identical across the whole sweep.
 func (s *Suite) CoreSweep(spec CoreSweepSpec) ([]CoreSweepRun, Table, error) {
 	spec = spec.withDefaults()
 	gen, ok := workload.TimedCatalog()[spec.Workload]
 	if !ok {
 		return nil, Table{}, fmt.Errorf("coresweep: unknown timed workload %q", spec.Workload)
 	}
-	reqs := gen.Generate(s.simConfig("sim-sharded").LogicalPages(), s.Scale.Requests, s.Seed)
+	reqs := gen.Generate(s.simConfig("sim").LogicalPages(), s.Scale.Requests, s.Seed)
 
 	var runs []CoreSweepRun
 	for _, workers := range spec.Workers {
 		if workers < 1 {
 			return nil, Table{}, fmt.Errorf("coresweep: %d workers", workers)
 		}
-		cfg := s.simConfig("sim-sharded")
+		cfg := s.simConfig("sim")
 		sch := s.newScheme("LeaFTL", spec.Gamma, cfg)
 		dev, err := ssd.New(cfg, sch)
 		if err != nil {

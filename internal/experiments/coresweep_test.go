@@ -56,7 +56,7 @@ func TestOpenLoopCompareWorkers(t *testing.T) {
 	const seed = 9
 	s := NewSuite(MicroScale(), seed)
 	gen := workload.TimedCatalog()["zipf-hot"]
-	reqs := gen.Generate(s.simConfig("sim-sharded").LogicalPages(), 2_000, seed)
+	reqs := gen.Generate(s.simConfig("sim").LogicalPages(), 2_000, seed)
 	runs, table, err := s.OpenLoopCompare(reqs, OpenLoopSpec{Workers: 2, Speedup: 4})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)

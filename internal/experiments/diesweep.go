@@ -90,7 +90,7 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 	if !ok {
 		return nil, Table{}, fmt.Errorf("diesweep: unknown timed workload %q", spec.Workload)
 	}
-	reqs := gen.Generate(s.simConfig("sim-sharded").LogicalPages(), s.Scale.Requests, s.Seed)
+	reqs := gen.Generate(s.simConfig("sim").LogicalPages(), s.Scale.Requests, s.Seed)
 
 	var runs []DieSweepRun
 	for _, dies := range spec.Dies {
@@ -189,10 +189,10 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 	return runs, t, nil
 }
 
-// dieConfig builds the sharded-core simulator config on a die × plane
+// dieConfig builds the simulator config on a die × plane
 // geometry, validating divisibility up front for a clear error.
 func (s *Suite) dieConfig(dies, planes int) (ssd.Config, error) {
-	cfg := s.simConfig("sim-sharded")
+	cfg := s.simConfig("sim")
 	cfg.Flash.DiesPerChan = dies
 	cfg.Flash.PlanesPerDie = planes
 	if dies > 1 && cfg.Flash.BlocksPerChan%dies != 0 {

@@ -199,10 +199,6 @@ func (s *Suite) simConfig(name string) ssd.Config {
 		cfg.DRAMBytes = int64(cfg.BufferPages)*int64(cfg.Flash.PageSize) + s.Scale.AvailBytes/2
 	case name == "nosort":
 		cfg.SortBuffer = false
-	case name == "sim-sharded":
-		// Same device as "sim" with an 8-way sharded translation core;
-		// translations are bit-identical, so every figure must match.
-		cfg.Shards = 8
 	case strings.HasPrefix(name, "avail:"):
 		// DRAM sensitivity (Figure 22a): vary the mapping+cache pool.
 		var kb int64
@@ -232,9 +228,6 @@ func (s *Suite) newScheme(name string, gamma int, cfg ssd.Config, opts ...leaftl
 	switch name {
 	case "LeaFTL", "LeaFTL-nosort":
 		all := append([]leaftl.Option{leaftl.WithCompactEvery(compactEvery)}, opts...)
-		if cfg.Shards > 1 {
-			return leaftl.NewSharded(gamma, cfg.Flash.PageSize, cfg.Shards, all...)
-		}
 		return leaftl.New(gamma, cfg.Flash.PageSize, all...)
 	case "DFTL":
 		return dftl.New(cfg.Flash.PageSize, 0) // budget set by the device
@@ -292,28 +285,13 @@ func (s *Suite) Run(cfgName string, p workload.Profile, scheme string, gamma int
 		WAF:          dev.WAF(),
 		Stats:        dev.Stats(),
 	}
-	// The plain and sharded LeaFTL schemes expose structurally identical
-	// mapping tables; extract the structure statistics through one view.
-	type segTable interface {
-		Stats() core.Stats
-		CRBSizes() []int
-		LevelCounts() []int
-		SegmentLengths() []int
-	}
-	var tab segTable
-	var levels func() (float64, map[int]uint64)
-	switch ls := sch.(type) {
-	case *leaftl.Scheme:
-		tab, levels = ls.Table(), ls.LookupLevels
-	case *leaftl.Sharded:
-		tab, levels = ls.Table(), ls.LookupLevels
-	}
-	if tab != nil {
+	if ls, ok := sch.(*leaftl.Scheme); ok {
+		tab := ls.Table()
 		out.SegStats = tab.Stats()
 		out.CRBSizes = tab.CRBSizes()
 		out.LevelCounts = tab.LevelCounts()
 		out.SegLengths = tab.SegmentLengths()
-		out.LookupAvg, out.LookupHist = levels()
+		out.LookupAvg, out.LookupHist = ls.LookupLevels()
 	}
 	s.runs[key] = out
 	return out, nil

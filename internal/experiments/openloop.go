@@ -74,8 +74,7 @@ type OpenLoopRun struct {
 }
 
 // OpenLoopCompare replays one trace open-loop against three identical
-// devices — LeaFTL (sharded when Queues > 1, exercising the
-// core.ShardedTable path), DFTL, and SFTL — and returns per-scheme
+// devices — LeaFTL, DFTL, and SFTL — and returns per-scheme
 // runs plus a rendered tail-latency table. The trace is folded into
 // the device's logical space with trace.FitTo, and each device is
 // warmed by sequentially writing the trace's footprint so reads hit
@@ -90,25 +89,18 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 	if spec.Queues < 1 {
 		spec.Queues = 1
 	}
-	cfgName := "sim"
-	if spec.Queues > 1 || spec.Workers > 1 {
-		cfgName = "sim-sharded"
-	}
-	// Capacity is identical across the three schemes (configs differ
-	// only in sharding), so the trace folds once.
-	fitted, err := trace.FitTo(reqs, s.simConfig(cfgName).LogicalPages())
+	// Capacity is identical across the three schemes, so the trace folds
+	// once.
+	fitted, err := trace.FitTo(reqs, s.simConfig("sim").LogicalPages())
 	if err != nil {
 		return nil, Table{}, fmt.Errorf("openloop: %w", err)
 	}
 
 	var runs []OpenLoopRun
 	for _, scheme := range []string{"LeaFTL", "DFTL", "SFTL"} {
-		cfg := s.simConfig(cfgName)
+		cfg := s.simConfig("sim")
 		cfg.GCPolicy = spec.GCPolicy
 		cfg.GCStreams = spec.GCStreams
-		if scheme != "LeaFTL" {
-			cfg.Shards = 0 // the baselines have no sharded core
-		}
 		var opts []leaftl.Option
 		if scheme == "LeaFTL" && spec.AutoTune {
 			opts = append(opts, leaftl.WithAutoTune(spec.GammaTarget))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"leaftl/internal/trace"
@@ -31,12 +30,8 @@ func TestOpenLoopCompare(t *testing.T) {
 			t.Errorf("%s mapping size %d", r.Scheme, r.MapBytes)
 		}
 	}
-	// Multi-queue runs exercise the sharded LeaFTL core.
-	if !strings.Contains(runs[0].Scheme, "LeaFTL") {
-		t.Errorf("first run is %s, want LeaFTL", runs[0].Scheme)
-	}
-	if !strings.Contains(runs[0].Scheme, "sharded") {
-		t.Errorf("queues=4 run used %s, want the sharded core", runs[0].Scheme)
+	if runs[0].Scheme != "LeaFTL" {
+		t.Errorf("queues=4 first run is %s, want LeaFTL", runs[0].Scheme)
 	}
 }
 
@@ -51,9 +46,8 @@ func TestOpenLoopCompareUntimedTrace(t *testing.T) {
 	if runs[0].Result.Elapsed <= 0 {
 		t.Error("zero makespan")
 	}
-	// Single-queue runs use the plain (unsharded) core.
-	if strings.Contains(runs[0].Scheme, "sharded") {
-		t.Errorf("queues=1 run used %s, want the plain core", runs[0].Scheme)
+	if runs[0].Scheme != "LeaFTL" {
+		t.Errorf("queues=1 first run is %s, want LeaFTL", runs[0].Scheme)
 	}
 }
 

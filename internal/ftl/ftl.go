@@ -242,17 +242,3 @@ type AdaptiveGamma interface {
 	// MaxGroupGamma reports the largest effective per-group error bound.
 	MaxGroupGamma() int
 }
-
-// Concurrent is implemented by schemes whose Translate method is safe for
-// concurrent use by multiple host streams (a sharded mapping core). The
-// device's closed-loop simulation still serializes requests, but parallel
-// drivers — the leaftl-bench parallel replay mode, or a future
-// multi-queue front-end — may fan translations out across goroutines
-// when the scheme advertises this.
-type Concurrent interface {
-	Scheme
-
-	// TranslateShards returns the number of independent translation
-	// shards: the maximum useful lookup concurrency.
-	TranslateShards() int
-}

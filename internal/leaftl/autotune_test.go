@@ -3,55 +3,22 @@ package leaftl
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"leaftl/internal/addr"
-	"leaftl/internal/core"
-	"leaftl/internal/ftl"
 )
 
-// tunedScheme is the surface the autotune property test drives.
-type tunedScheme interface {
-	pagedScheme
-	ftl.MissReporter
-	ftl.AdaptiveGamma
-	Maintain(uint64) ftl.Cost
-	Translate(addr.LPA) (ftl.Translation, bool)
-	Commit([]addr.Mapping) ftl.Cost
-}
-
-// tunes returns the per-group adaptive state of either flavor.
-func tunes(s tunedScheme) []core.GroupTune {
-	switch v := s.(type) {
-	case *Scheme:
-		return v.Table().GroupTunes()
-	case *Sharded:
-		return v.Table().GroupTunes()
-	}
-	return nil
-}
-
 // TestAutotuneProperty is the adaptive-γ correctness property: across
-// random feedback-driven workloads — plain and sharded, with and
-// without a DRAM budget — every translation stays within the *global*
-// error bound (exact answers exactly), the GMD and budget invariants
-// hold after every Maintain, no group's effective γ ever exceeds the
-// global bound, and the plain and sharded flavors stay bit-identical
-// under identical operation streams.
+// random feedback-driven workloads, with and without a DRAM budget,
+// every translation stays within the *global* error bound (exact
+// answers exactly), the GMD and budget invariants hold after every
+// Maintain, and no group's effective γ ever exceeds the global bound.
 func TestAutotuneProperty(t *testing.T) {
 	const gamma = 8
 	for trial := 0; trial < 3; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + trial)))
-			mk := func() []tunedScheme {
-				return []tunedScheme{
-					New(gamma, 4096, WithAutoTune(0.02), WithCompactEvery(512)),
-					NewSharded(gamma, 4096, 1+rng.Intn(8), WithAutoTune(0.02), WithCompactEvery(512)),
-				}
-			}
-			schemes := mk()
+			s := New(gamma, 4096, WithAutoTune(0.02), WithCompactEvery(512))
 
 			logical := 24 * 256
 			truth := make(map[addr.LPA]addr.PPA)
@@ -74,60 +41,39 @@ func TestAutotuneProperty(t *testing.T) {
 				}
 				ppa += addr.PPA(len(pairs))
 				writes += uint64(len(pairs))
-				for _, s := range schemes {
-					s.Commit(pairs)
-				}
+				s.Commit(pairs)
 			}
 
 			read := func(lpa addr.LPA) {
 				want, mapped := truth[lpa]
-				var prev ftl.Translation
-				var prevOK bool
-				for si, s := range schemes {
-					tr, ok := s.Translate(lpa)
-					if ok != mapped {
-						t.Fatalf("scheme %d: Translate(%d) ok=%v, mapped=%v", si, lpa, ok, mapped)
-					}
-					if ok {
-						if !tr.Approx && tr.PPA != want {
-							t.Fatalf("scheme %d: exact answer %d for LPA %d, want %d", si, tr.PPA, lpa, want)
-						}
-						d := int64(tr.PPA) - int64(want)
-						if d < -gamma || d > gamma {
-							t.Fatalf("scheme %d: LPA %d predicted %d, want %d (outside ±%d)", si, lpa, tr.PPA, want, gamma)
-						}
-						// The device's feedback, modeled: hint-resolved when
-						// the armed hint aims the first read at the true page.
-						hintRes := tr.PPA != want && tr.Hint != 0 &&
-							addr.PPA(int64(tr.PPA)+int64(tr.Hint)) == want
-						s.NoteRead(lpa, tr.PPA, want, tr.Approx, hintRes)
-					}
-					if si > 0 && (ok != prevOK || tr.PPA != prev.PPA || tr.Approx != prev.Approx || tr.Hint != prev.Hint) {
-						t.Fatalf("sharded diverged from plain at LPA %d: %+v/%v vs %+v/%v",
-							lpa, tr, ok, prev, prevOK)
-					}
-					prev, prevOK = tr, ok
+				tr, ok := s.Translate(lpa)
+				if ok != mapped {
+					t.Fatalf("Translate(%d) ok=%v, mapped=%v", lpa, ok, mapped)
 				}
+				if !ok {
+					return
+				}
+				if !tr.Approx && tr.PPA != want {
+					t.Fatalf("exact answer %d for LPA %d, want %d", tr.PPA, lpa, want)
+				}
+				d := int64(tr.PPA) - int64(want)
+				if d < -gamma || d > gamma {
+					t.Fatalf("LPA %d predicted %d, want %d (outside ±%d)", lpa, tr.PPA, want, gamma)
+				}
+				// The device's feedback, modeled: hint-resolved when the
+				// armed hint aims the first read at the true page.
+				hintRes := tr.PPA != want && tr.Hint != 0 &&
+					addr.PPA(int64(tr.PPA)+int64(tr.Hint)) == want
+				s.NoteRead(lpa, tr.PPA, want, tr.Approx, hintRes)
 			}
 
 			maintain := func() {
-				for si, s := range schemes {
-					s.Maintain(writes)
-					if err := s.CheckMapping(); err != nil {
-						t.Fatalf("scheme %d: %v", si, err)
-					}
-					if mg := s.MaxGroupGamma(); mg > gamma {
-						t.Fatalf("scheme %d: per-group gamma %d exceeds global %d", si, mg, gamma)
-					}
+				s.Maintain(writes)
+				if err := s.CheckMapping(); err != nil {
+					t.Fatal(err)
 				}
-				a, b := tunes(schemes[0]), tunes(schemes[1])
-				if len(a) != len(b) {
-					t.Fatalf("tune counts diverged: %d vs %d", len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("tune state diverged: %+v vs %+v", a[i], b[i])
-					}
+				if mg := s.MaxGroupGamma(); mg > gamma {
+					t.Fatalf("per-group gamma %d exceeds global %d", mg, gamma)
 				}
 			}
 
@@ -155,21 +101,14 @@ func TestAutotuneProperty(t *testing.T) {
 					maintain()
 				}
 				if !budgeted && round == 20 {
-					// Clamp both flavors identically mid-run: evictions and
-					// demand loads now interleave with feedback and repairs.
-					budget := schemes[0].MemoryBytes()/2 + 1
-					for _, s := range schemes {
-						s.SetBudget(budget)
-					}
+					// Clamp mid-run: evictions and demand loads now
+					// interleave with feedback and repairs.
+					s.SetBudget(s.MemoryBytes()/2 + 1)
 					budgeted = true
 				}
 				if budgeted {
-					budget := schemes[0].MemoryBytes()
-					_ = budget
-					for si, s := range schemes {
-						if err := s.CheckMapping(); err != nil {
-							t.Fatalf("scheme %d after round %d: %v", si, round, err)
-						}
+					if err := s.CheckMapping(); err != nil {
+						t.Fatalf("after round %d: %v", round, err)
 					}
 				}
 			}
@@ -245,64 +184,5 @@ func TestAutotuneGammaSurvivesEviction(t *testing.T) {
 		if w, ok := want[gt.Group]; ok && gt.Gamma != w {
 			t.Fatalf("group %d gamma %d after page-out cycle, want %d", gt.Group, gt.Gamma, w)
 		}
-	}
-}
-
-// TestAutotuneConcurrentTranslate exercises the sharded scheme's
-// concurrent read path while the serialized mutation path (commits,
-// feedback with repairs, maintenance with retunes) runs — the race
-// detector guards the shard/pager locking.
-func TestAutotuneConcurrentTranslate(t *testing.T) {
-	s := NewSharded(8, 4096, 8, WithAutoTune(0.02), WithCompactEvery(256))
-	const logical = 16 * 256
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				s.Translate(addr.LPA(rng.Intn(logical)))
-			}
-		}(int64(w))
-	}
-
-	rng := rand.New(rand.NewSource(99))
-	var ppa addr.PPA
-	var writes uint64
-	for round := 0; round < 200; round++ {
-		pairs := make([]addr.Mapping, 0, 32)
-		l := addr.LPA(rng.Intn(logical - 256))
-		for len(pairs) < 32 {
-			l += addr.LPA(1 + rng.Intn(3))
-			if int(l) >= logical {
-				break
-			}
-			pairs = append(pairs, addr.Mapping{LPA: l, PPA: ppa})
-			ppa++
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		writes += uint64(len(pairs))
-		s.Commit(pairs)
-		for _, m := range pairs[:4] {
-			if tr, ok := s.Translate(m.LPA); ok && tr.Approx {
-				s.NoteRead(m.LPA, tr.PPA, m.PPA, true, false)
-			}
-		}
-		s.Maintain(writes)
-		if round == 100 {
-			s.SetBudget(s.MemoryBytes()/2 + 1)
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if err := s.CheckMapping(); err != nil {
-		t.Fatal(err)
-	}
-	if mg := s.MaxGroupGamma(); mg > 8 {
-		t.Fatalf("per-group gamma %d exceeds global 8", mg)
 	}
 }

@@ -165,28 +165,43 @@ func sweepCost(pages int) ftl.Cost {
 	return c
 }
 
-// commitPaged learns a sorted batch group-run by group-run through the
-// pager: each run's group is made resident and dirtied before its
-// update, and the byte cap is re-enforced after, so one oversized batch
-// cannot blow past the budget. Shared by the plain and sharded schemes
-// (update is Table.Update or ShardedTable.Update); the group-run
-// boundaries match learnBuf.learn's internal splitting, so per-run
-// updates learn identically to one whole-batch update.
-func commitPaged(p *core.Pager, update func([]addr.Mapping) int, pairs []addr.Mapping) (int, core.PageCost) {
-	var pc core.PageCost
-	n := 0
-	for i := 0; i < len(pairs); {
-		gid := addr.Group(pairs[i].LPA)
-		j := i + 1
-		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
-			j++
+// commit learns a sorted batch: Table.Update, or Table.Relearn when
+// relearn is set (GC relocation batches). Under an active pager the
+// batch is learned group-run by group-run: each run's group is made
+// resident and dirtied before its update, and the byte cap is
+// re-enforced after, so one oversized batch cannot blow past the budget.
+// The group-run boundaries match learnBuf.learn's internal splitting, so
+// per-run updates learn identically to one whole-batch update. It
+// returns the paging cost and the number of groups relearned.
+func (s *Scheme) commit(pairs []addr.Mapping, relearn bool) (ftl.Cost, int) {
+	learn := func(run []addr.Mapping) (segs, groups int) {
+		if relearn {
+			return s.table.Relearn(run)
 		}
-		pc.Add(p.EnsureWrite(gid))
-		n += update(pairs[i:j])
-		pc.Add(p.Enforce())
-		i = j
+		return s.table.Update(run), 0
 	}
-	return n, pc
+	var pc core.PageCost
+	segs, groups := 0, 0
+	if s.pager.Active() {
+		for i := 0; i < len(pairs); {
+			gid := addr.Group(pairs[i].LPA)
+			j := i + 1
+			for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
+				j++
+			}
+			pc.Add(s.pager.EnsureWrite(gid))
+			sg, gr := learn(pairs[i:j])
+			segs += sg
+			groups += gr
+			pc.Add(s.pager.Enforce())
+			i = j
+		}
+	} else {
+		segs, groups = learn(pairs)
+	}
+	s.segLearned += uint64(segs)
+	s.batchCount++
+	return pageCost(pc), groups
 }
 
 // Translate implements ftl.Scheme. Under a binding budget, a lookup in a
@@ -229,16 +244,8 @@ func (s *Scheme) noteLookup(res core.LookupResult) {
 // groups demand-loads them and the byte cap is re-enforced after every
 // group's update.
 func (s *Scheme) Commit(pairs []addr.Mapping) ftl.Cost {
-	if s.pager.Active() {
-		n, pc := commitPaged(s.pager, s.table.Update, pairs)
-		s.segLearned += uint64(n)
-		s.batchCount++
-		return pageCost(pc)
-	}
-	n := s.table.Update(pairs)
-	s.segLearned += uint64(n)
-	s.batchCount++
-	return ftl.Cost{}
+	cost, _ := s.commit(pairs, false)
+	return cost
 }
 
 // SetBudget implements ftl.Scheme: a positive budget caps the resident
@@ -379,25 +386,7 @@ func (s *Scheme) NoteExact(lpa addr.LPA) ftl.Cost {
 // relearning, no behavioral difference from a scheme without the
 // feature.
 func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
-	if !s.bitmap {
-		return s.Commit(pairs), 0
-	}
-	groups := 0
-	relearn := func(run []addr.Mapping) int {
-		sg, gr := s.table.Relearn(run)
-		groups += gr
-		return sg
-	}
-	if s.pager.Active() {
-		n, pc := commitPaged(s.pager, relearn, pairs)
-		s.segLearned += uint64(n)
-		s.batchCount++
-		return pageCost(pc), groups
-	}
-	n := relearn(pairs)
-	s.segLearned += uint64(n)
-	s.batchCount++
-	return ftl.Cost{}, groups
+	return s.commit(pairs, s.bitmap)
 }
 
 // AuditExact implements ftl.ExactAuditor: verify every resident set bit
@@ -426,26 +415,23 @@ func (s *Scheme) ConfigureJournal(pagesPerBlock, maxPages int) {
 	s.pager.ConfigureJournal(pagesPerBlock, maxPages)
 }
 
-// JournalStats implements ftl.Journaled.
+// JournalStats implements ftl.Journaled, mirroring the pager's journal
+// counters into the ftl layer (core cannot import ftl — the
+// PageCost→Cost precedent).
 func (s *Scheme) JournalStats() ftl.JournalStats {
-	return journalStats(s.pager.JournalStats())
-}
-
-// SetJournalCrashHook installs the crash-injection hook fired at the
-// journal's GC and fold points (reliability torture wiring).
-func (s *Scheme) SetJournalCrashHook(fn func(string)) {
-	s.pager.SetJournalHook(fn)
-}
-
-// journalStats converts the pager's journal counters into the ftl-layer
-// mirror (core cannot import ftl — the PageCost→Cost precedent).
-func journalStats(js core.JournalStats) ftl.JournalStats {
+	js := s.pager.JournalStats()
 	return ftl.JournalStats{
 		Appends: js.Appends, Bases: js.Bases, Folds: js.Folds,
 		GCRuns: js.GCRuns, Replays: js.Replays,
 		Pages: js.Pages, Blocks: js.Blocks,
 		Groups: js.Groups, MaxChain: js.MaxChain,
 	}
+}
+
+// SetJournalCrashHook installs the crash-injection hook fired at the
+// journal's GC and fold points (reliability torture wiring).
+func (s *Scheme) SetJournalCrashHook(fn func(string)) {
+	s.pager.SetJournalHook(fn)
 }
 
 // TranslationPages implements ftl.GroupPaged.

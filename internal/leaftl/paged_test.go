@@ -3,19 +3,10 @@ package leaftl
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"leaftl/internal/addr"
-	"leaftl/internal/ftl"
 )
-
-// pagedScheme is the surface the budget property test drives, satisfied
-// by both scheme flavors.
-type pagedScheme interface {
-	ftl.GroupPaged
-	Gamma() int
-}
 
 // TestBudgetPropertyRandomWorkloads is the budget-enforcement property
 // test: across random workloads and random budgets, MemoryBytes() ≤
@@ -23,102 +14,87 @@ type pagedScheme interface {
 // must stay consistent, and the budgeted scheme must translate
 // bit-identically to an unlimited reference.
 func TestBudgetPropertyRandomWorkloads(t *testing.T) {
-	for _, flavor := range []string{"plain", "sharded"} {
-		for trial := 0; trial < 3; trial++ {
-			t.Run(fmt.Sprintf("%s/trial%d", flavor, trial), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(trial*10 + len(flavor))))
-				gamma := rng.Intn(5)
-				var ref, bud pagedScheme
-				if flavor == "plain" {
-					ref = New(gamma, 4096)
-					bud = New(gamma, 4096)
-				} else {
-					ref = NewSharded(gamma, 4096, 1+rng.Intn(8))
-					bud = NewSharded(gamma, 4096, 1+rng.Intn(8))
-				}
+	for trial := 0; trial < 3; trial++ {
+		t.Run(fmt.Sprintf("plain/trial%d", trial), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(trial*10 + 5)))
+			gamma := rng.Intn(5)
+			ref := New(gamma, 4096)
+			bud := New(gamma, 4096)
 
-				logical := 48 * 256
-				var ppa addr.PPA
-				commit := func(lpas []addr.LPA) {
-					pairs := make([]addr.Mapping, len(lpas))
-					for i, l := range lpas {
-						pairs[i] = addr.Mapping{LPA: l, PPA: ppa + addr.PPA(i)}
-					}
-					ppa += addr.PPA(len(lpas))
-					ref.Commit(pairs)
-					bud.Commit(pairs)
+			logical := 48 * 256
+			var ppa addr.PPA
+			commit := func(lpas []addr.LPA) {
+				pairs := make([]addr.Mapping, len(lpas))
+				for i, l := range lpas {
+					pairs[i] = addr.Mapping{LPA: l, PPA: ppa + addr.PPA(i)}
 				}
-				// Warm sequentially, then apply a harsh random budget.
-				for b := 0; b < 48; b++ {
-					lpas := make([]addr.LPA, 256)
-					for i := range lpas {
-						lpas[i] = addr.LPA(b*256 + i)
+				ppa += addr.PPA(len(lpas))
+				ref.Commit(pairs)
+				bud.Commit(pairs)
+			}
+			// Warm sequentially, then apply a harsh random budget.
+			for b := 0; b < 48; b++ {
+				lpas := make([]addr.LPA, 256)
+				for i := range lpas {
+					lpas[i] = addr.LPA(b*256 + i)
+				}
+				commit(lpas)
+			}
+			budget := 1 + rng.Intn(ref.MemoryBytes())
+			bud.SetBudget(budget)
+
+			check := func(op int) {
+				if m := bud.MemoryBytes(); m > budget {
+					t.Fatalf("op %d: MemoryBytes %d > budget %d", op, m, budget)
+				}
+				if err := bud.CheckMapping(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+			hostWrites := uint64(0)
+			for op := 0; op < 6000; op++ {
+				switch r := rng.Intn(100); {
+				case r < 40:
+					start := rng.Intn(logical - 32)
+					n := 1 + rng.Intn(32)
+					lpas := make([]addr.LPA, 0, n)
+					for i := 0; i < n; i++ {
+						lpas = append(lpas, addr.LPA(start+i))
 					}
 					commit(lpas)
-				}
-				budget := 1 + rng.Intn(ref.MemoryBytes())
-				bud.SetBudget(budget)
-
-				check := func(op int) {
-					if m := bud.MemoryBytes(); m > budget {
-						t.Fatalf("op %d: MemoryBytes %d > budget %d", op, m, budget)
+					hostWrites += uint64(n)
+				case r < 95:
+					l := addr.LPA(rng.Intn(logical))
+					a, aok := ref.Translate(l)
+					b, bok := bud.Translate(l)
+					if aok != bok || a.PPA != b.PPA || a.Approx != b.Approx {
+						t.Fatalf("op %d: Translate(%d) diverges: %v/%v vs %v/%v",
+							op, l, b.PPA, bok, a.PPA, aok)
 					}
-					if err := bud.CheckMapping(); err != nil {
-						t.Fatalf("op %d: %v", op, err)
-					}
+				default:
+					// Periodic maintenance at a random cadence.
+					ref.Maintain(hostWrites)
+					bud.Maintain(hostWrites)
 				}
-				hostWrites := uint64(0)
-				for op := 0; op < 6000; op++ {
-					switch r := rng.Intn(100); {
-					case r < 40:
-						start := rng.Intn(logical - 32)
-						n := 1 + rng.Intn(32)
-						lpas := make([]addr.LPA, 0, n)
-						for i := 0; i < n; i++ {
-							lpas = append(lpas, addr.LPA(start+i))
-						}
-						commit(lpas)
-						hostWrites += uint64(n)
-					case r < 95:
-						l := addr.LPA(rng.Intn(logical))
-						a, aok := ref.Translate(l)
-						b, bok := bud.Translate(l)
-						if aok != bok || a.PPA != b.PPA || a.Approx != b.Approx {
-							t.Fatalf("op %d: Translate(%d) diverges: %v/%v vs %v/%v",
-								op, l, b.PPA, bok, a.PPA, aok)
-						}
-					default:
-						// Periodic maintenance at a random cadence.
-						ref.Maintain(hostWrites)
-						bud.Maintain(hostWrites)
-					}
-					check(op)
+				check(op)
+			}
+			// Every budgeted run under MemoryBytes must have produced
+			// real paging traffic to be a meaningful property test.
+			if bud.PagingStats().Faults == 0 && budget < ref.MemoryBytes() {
+				t.Fatalf("binding budget %d (< %d) produced no faults", budget, ref.MemoryBytes())
+			}
+			// Full final sweep.
+			for l := 0; l < logical; l++ {
+				a, aok := ref.Translate(addr.LPA(l))
+				b, bok := bud.Translate(addr.LPA(l))
+				if aok != bok || a.PPA != b.PPA {
+					t.Fatalf("final Translate(%d) diverges: %v/%v vs %v/%v", l, b.PPA, bok, a.PPA, aok)
 				}
-				// Every budgeted run under MemoryBytes must have produced
-				// real paging traffic to be a meaningful property test.
-				var faults uint64
-				switch s := bud.(type) {
-				case *Scheme:
-					faults = s.PagingStats().Faults
-				case *Sharded:
-					faults = s.PagingStats().Faults
-				}
-				if faults == 0 && budget < ref.MemoryBytes() {
-					t.Fatalf("binding budget %d (< %d) produced no faults", budget, ref.MemoryBytes())
-				}
-				// Full final sweep.
-				for l := 0; l < logical; l++ {
-					a, aok := ref.Translate(addr.LPA(l))
-					b, bok := bud.Translate(addr.LPA(l))
-					if aok != bok || a.PPA != b.PPA {
-						t.Fatalf("final Translate(%d) diverges: %v/%v vs %v/%v", l, b.PPA, bok, a.PPA, aok)
-					}
-				}
-				if bud.FullSizeBytes() < bud.MemoryBytes() {
-					t.Fatalf("FullSizeBytes %d < MemoryBytes %d", bud.FullSizeBytes(), bud.MemoryBytes())
-				}
-			})
-		}
+			}
+			if bud.FullSizeBytes() < bud.MemoryBytes() {
+				t.Fatalf("FullSizeBytes %d < MemoryBytes %d", bud.FullSizeBytes(), bud.MemoryBytes())
+			}
+		})
 	}
 }
 
@@ -209,47 +185,5 @@ func TestPagedSnapshotRestore(t *testing.T) {
 	}
 	if err := budgeted.CheckMapping(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardedPagedConcurrentTranslate hammers a budgeted sharded scheme
-// with concurrent translations (the ftl.Concurrent contract) while
-// groups fault in and out; run under -race this pins the pager-mutex
-// serialization and the lock-free fast-path handoff.
-func TestShardedPagedConcurrentTranslate(t *testing.T) {
-	s := NewSharded(0, 4096, 4)
-	logical := 16 * 256
-	for b := 0; b < 16; b++ {
-		s.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
-	}
-	s.SetBudget(s.MemoryBytes() / 3)
-	s.Commit(seq(0, 90000, 1)) // force enforcement so paging pressure is on
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 3000; i++ {
-				l := addr.LPA(rng.Intn(logical))
-				tr, ok := s.Translate(l)
-				if !ok {
-					panic(fmt.Sprintf("lost mapping for %d", l))
-				}
-				if l == 0 {
-					if tr.PPA != 90000 {
-						panic(fmt.Sprintf("stale translation for 0: %d", tr.PPA))
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := s.CheckMapping(); err != nil {
-		t.Fatal(err)
-	}
-	if s.MemoryBytes() > s.FullSizeBytes() {
-		t.Fatal("resident exceeds full size")
 	}
 }

@@ -124,35 +124,6 @@ func TestAutotuneRepairStopsRepeatMisses(t *testing.T) {
 	}
 }
 
-// TestAutotuneShardedRunMatchesPlain extends the sharded-invisible
-// contract to the adaptive controller: identical serialized workloads
-// must produce identical translations, tune decisions, and stats on the
-// plain and sharded autotuned devices.
-func TestAutotuneShardedRunMatchesPlain(t *testing.T) {
-	cfg := testConfig()
-	devP := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize,
-		leaftl.WithAutoTune(0.02), leaftl.WithCompactEvery(400)))
-	devS := newTestDevice(t, cfg, leaftl.NewSharded(8, cfg.Flash.PageSize, 8,
-		leaftl.WithAutoTune(0.02), leaftl.WithCompactEvery(400)))
-	for _, d := range []*Device{devP, devS} {
-		churnAutotune(t, d, 13, 3000)
-	}
-	sp, ss := devP.Stats(), devS.Stats()
-	if sp != ss {
-		t.Fatalf("stats diverged:\nplain   %+v\nsharded %+v", sp, ss)
-	}
-	tp := devP.Scheme().(*leaftl.Scheme).Table().GroupTunes()
-	ts := devS.Scheme().(*leaftl.Sharded).Table().GroupTunes()
-	if len(tp) != len(ts) {
-		t.Fatalf("tune counts diverged: %d vs %d", len(tp), len(ts))
-	}
-	for i := range tp {
-		if tp[i] != ts[i] {
-			t.Fatalf("tune state diverged at %d: %+v vs %+v", i, tp[i], ts[i])
-		}
-	}
-}
-
 // TestAutotuneGammaSurvivesRecovery pins the acceptance criterion on
 // the full device: per-group γs tuned before a crash come back
 // bit-identically for every group the GMD restores.

@@ -129,140 +129,99 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 	}
 }
 
-// TestBitmapShardedRunMatchesPlain extends the sharded-invisible
-// contract to the bitmap: identical serialized workloads must produce
-// identical stats — including exact-bit hits, double reads, and
-// relearn counts — and identical per-group tune state (bitmap bytes
-// included) on the plain and sharded devices.
-func TestBitmapShardedRunMatchesPlain(t *testing.T) {
-	cfg := testConfig()
-	devP := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	devS := newTestDevice(t, cfg, leaftl.NewSharded(8, cfg.Flash.PageSize, 8, bitmapOpts()...))
-	for _, d := range []*Device{devP, devS} {
-		churnAutotune(t, d, 13, 3000)
-	}
-	sp, ss := devP.Stats(), devS.Stats()
-	if sp != ss {
-		t.Fatalf("stats diverged:\nplain   %+v\nsharded %+v", sp, ss)
-	}
-	tp := devP.Scheme().(*leaftl.Scheme).Table().GroupTunes()
-	ts := devS.Scheme().(*leaftl.Sharded).Table().GroupTunes()
-	if len(tp) != len(ts) {
-		t.Fatalf("tune counts diverged: %d vs %d", len(tp), len(ts))
-	}
-	for i := range tp {
-		if tp[i] != ts[i] {
-			t.Fatalf("tune state diverged at %d: %+v vs %+v", i, tp[i], ts[i])
-		}
-	}
-}
-
 // TestBitmapSurvivesEvictionAndRecovery pins the v3 wire property on the
-// full device, plain and sharded: exact bitmaps ride the persisted group
-// images through demand paging and crash recovery bit-identically, and
-// the restored bits still pass the truth audit after post-recovery
-// reads fault every group back in.
+// full device: exact bitmaps ride the persisted group images through
+// demand paging and crash recovery bit-identically, and the restored
+// bits still pass the truth audit after post-recovery reads fault every
+// group back in.
 func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func(cfg Config) ftl.Scheme
-	}{
-		{"plain", func(cfg Config) ftl.Scheme {
-			return leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...)
-		}},
-		{"sharded", func(cfg Config) ftl.Scheme {
-			return leaftl.NewSharded(8, cfg.Flash.PageSize, 8, bitmapOpts()...)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			d := newTestDevice(t, cfg, tc.mk(cfg))
-			churnAutotune(t, d, 17, 4000)
-			d.SetMappingBudget(d.Scheme().FullSizeBytes() / 3)
-			// More traffic under the budget so groups cycle through flash.
-			rng := seededRand(t, 18)
-			for op := 0; op < 1500; op++ {
-				if op%3 == 0 {
-					if _, err := d.Write(addr.LPA(rng.Intn(d.LogicalPages()/2)), 1); err != nil {
-						t.Fatal(err)
-					}
-				} else if _, err := d.Read(addr.LPA(rng.Intn(d.LogicalPages()/4)), 1); err != nil {
+	t.Run("plain", func(t *testing.T) {
+		cfg := testConfig()
+		d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
+		churnAutotune(t, d, 17, 4000)
+		d.SetMappingBudget(d.Scheme().FullSizeBytes() / 3)
+		// More traffic under the budget so groups cycle through flash.
+		rng := seededRand(t, 18)
+		for op := 0; op < 1500; op++ {
+			if op%3 == 0 {
+				if _, err := d.Write(addr.LPA(rng.Intn(d.LogicalPages()/2)), 1); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := d.Flush(); err != nil {
+			} else if _, err := d.Read(addr.LPA(rng.Intn(d.LogicalPages()/4)), 1); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Decode every persisted image into a scratch table and keep
-			// its bitmap: what a crash survivor must reproduce.
-			old := d.Scheme().(ftl.GroupPaged)
-			persisted := old.PersistedGroups()
-			if len(persisted) == 0 {
-				t.Fatal("nothing persisted before the crash")
+		// Decode every persisted image into a scratch table and keep
+		// its bitmap: what a crash survivor must reproduce.
+		old := d.Scheme().(ftl.GroupPaged)
+		persisted := old.PersistedGroups()
+		if len(persisted) == 0 {
+			t.Fatal("nothing persisted before the crash")
+		}
+		decode := func(gid addr.GroupID, img []byte) [32]byte {
+			t.Helper()
+			scratch := core.NewTable(8)
+			got, err := scratch.InstallGroup(img)
+			if err != nil || got != gid {
+				t.Fatalf("persisted image of group %d does not decode: %v", gid, err)
 			}
-			decode := func(gid addr.GroupID, img []byte) [32]byte {
-				t.Helper()
-				scratch := core.NewTable(8)
-				got, err := scratch.InstallGroup(img)
-				if err != nil || got != gid {
-					t.Fatalf("persisted image of group %d does not decode: %v", gid, err)
-				}
-				tunes := scratch.GroupTunes()
-				if len(tunes) != 1 {
-					t.Fatalf("image of group %d decoded to %d groups", gid, len(tunes))
-				}
-				return tunes[0].Exact
+			tunes := scratch.GroupTunes()
+			if len(tunes) != 1 {
+				t.Fatalf("image of group %d decoded to %d groups", gid, len(tunes))
 			}
-			want := map[addr.GroupID][32]byte{}
-			armed := 0
-			for gid, img := range persisted {
-				bits := decode(gid, img)
-				want[gid] = bits
-				if bits != ([32]byte{}) {
-					armed++
-				}
+			return tunes[0].Exact
+		}
+		want := map[addr.GroupID][32]byte{}
+		armed := 0
+		for gid, img := range persisted {
+			bits := decode(gid, img)
+			want[gid] = bits
+			if bits != ([32]byte{}) {
+				armed++
 			}
-			if armed == 0 {
-				t.Fatal("no persisted group carries a set exact bit; test is vacuous")
-			}
+		}
+		if armed == 0 {
+			t.Fatal("no persisted group carries a set exact bit; test is vacuous")
+		}
 
-			rep, err := d.Recover(tc.mk(cfg))
-			if err != nil {
-				t.Fatal(err)
+		rep, err := d.Recover(leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.GroupsRestored == 0 {
+			t.Fatalf("no groups restored: %+v", rep)
+		}
+		fresh := d.Scheme().(ftl.GroupPaged)
+		restored := fresh.PersistedGroups()
+		checked := 0
+		for gid, bits := range want {
+			img, ok := restored[gid]
+			if !ok {
+				continue // OOB-rebuilt group: relearned from scratch
 			}
-			if rep.GroupsRestored == 0 {
-				t.Fatalf("no groups restored: %+v", rep)
+			if got := decode(gid, img); got != bits {
+				t.Fatalf("group %d recovered with bitmap %x, want %x", gid, got, bits)
 			}
-			fresh := d.Scheme().(ftl.GroupPaged)
-			restored := fresh.PersistedGroups()
-			checked := 0
-			for gid, bits := range want {
-				img, ok := restored[gid]
-				if !ok {
-					continue // OOB-rebuilt group: relearned from scratch
-				}
-				if got := decode(gid, img); got != bits {
-					t.Fatalf("group %d recovered with bitmap %x, want %x", gid, got, bits)
-				}
-				checked++
+			checked++
+		}
+		if checked == 0 {
+			t.Fatal("no restored group's bitmap was checked; test is vacuous")
+		}
+		// Fault the groups back in and let CheckInvariants audit the
+		// restored bits against flash ground truth.
+		for lpa := 0; lpa < d.LogicalPages()/2; lpa += 3 {
+			if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+				t.Fatalf("post-recovery read %d: %v", lpa, err)
 			}
-			if checked == 0 {
-				t.Fatal("no restored group's bitmap was checked; test is vacuous")
-			}
-			// Fault the groups back in and let CheckInvariants audit the
-			// restored bits against flash ground truth.
-			for lpa := 0; lpa < d.LogicalPages()/2; lpa += 3 {
-				if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
-					t.Fatalf("post-recovery read %d: %v", lpa, err)
-				}
-			}
-			if err := d.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestBitmapAuditCatchesStaleBit proves the invariant sweep detects a
@@ -294,4 +253,4 @@ func TestBitmapAuditCatchesStaleBit(t *testing.T) {
 }
 
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
-var _ ftl.ExactAuditor = (*leaftl.Sharded)(nil)
+var _ ftl.ExactAuditor = (*leaftl.Scheme)(nil)

@@ -179,63 +179,3 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 		t.Fatalf("recovered mapping %dB exceeds budget %dB", m, d.MappingBudget())
 	}
 }
-
-// TestBudgetedShardedRunMatchesPlain extends the sharded-invisible
-// contract to demand paging: a budgeted sharded LeaFTL device must
-// produce the same translations, meta traffic and final data as the
-// budgeted plain device for the same serialized workload.
-func TestBudgetedShardedRunMatchesPlain(t *testing.T) {
-	cfg := testConfig()
-	devP := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-	devS := newTestDevice(t, cfg, leaftl.NewSharded(4, cfg.Flash.PageSize, 8, leaftl.WithCompactEvery(2000)))
-	devs := []*Device{devP, devS}
-	logical := devP.LogicalPages()
-	for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
-		for _, d := range devs {
-			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	budget := devP.Scheme().FullSizeBytes() / 4
-	devP.SetMappingBudget(budget)
-	devS.SetMappingBudget(budget)
-
-	rng := seededRand(t, 5)
-	for op := 0; op < 12000; op++ {
-		lpa := rng.Intn(logical / 2)
-		if rng.Intn(100) < 55 {
-			for _, d := range devs {
-				if _, err := d.Write(addr.LPA(lpa), 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			for _, d := range devs {
-				if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for _, d := range devs {
-		if err := d.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sp, ss := devP.Stats(), devS.Stats()
-	if sp != ss {
-		t.Fatalf("budgeted sharded stats diverge from plain:\nplain   %+v\nsharded %+v", sp, ss)
-	}
-	if sp.MetaReads == 0 {
-		t.Fatal("budget never bound; the comparison is vacuous")
-	}
-	for lpa := 0; lpa < logical; lpa++ {
-		if devP.token[lpa] != devS.token[lpa] {
-			t.Fatalf("LPA %d: plain token %#x != sharded token %#x", lpa, devP.token[lpa], devS.token[lpa])
-		}
-	}
-}
