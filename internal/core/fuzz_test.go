@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -124,6 +125,134 @@ func FuzzPersist(f *testing.F) {
 			}
 			if gt.SizeBytes() != gt2.SizeBytes() || gt.Stats() != gt2.Stats() {
 				t.Fatalf("group record stats diverge: %+v vs %+v", gt.Stats(), gt2.Stats())
+			}
+		}
+	})
+}
+
+// FuzzPager drives two demand-paged tables — one on the mapping-delta
+// journal, one on the full-image path — and an unbudgeted twin through
+// the same sequence of writes, lookups, read feedback, compaction with
+// persistence, and budget changes decoded from the input. Every lookup
+// must equal the twin's, and both pagers' Check (which audits every
+// parked copy against its image) must pass after every operation.
+func FuzzPager(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 0, 10, 4, 1, 1, 2, 0, 10})
+	f.Add([]byte{
+		0x30, 1, 0, 0x85, 2, 7, 0x31, 3, 9, 0xa0, 4, 3, 4, 2, 1,
+		2, 1, 5, 3, 2, 7, 0x1e, 0, 200, 4, 6, 0, 2, 3, 9, 0x2d, 5, 100,
+		4, 1, 1, 2, 4, 3, 3, 4, 3, 4, 0, 0, 2, 5, 100,
+	})
+	long := make([]byte, 1200)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const (
+			gamma  = 4
+			groups = 6
+			maxOps = 400
+		)
+		type arm struct {
+			name string
+			tab  *Table
+			p    *Pager
+		}
+		newArm := func(name string, journaled bool) arm {
+			tab := NewTable(gamma)
+			p := NewPager(tab, 128)
+			if journaled {
+				p.EnableJournal()
+				p.ConfigureJournal(64, 128)
+			}
+			return arm{name, tab, p}
+		}
+		arms := []arm{newArm("journal", true), newArm("image", false)}
+		twin := NewTable(gamma)
+		ppa := addr.PPA(1)
+
+		lookup := func(op int, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+			want, res, wok := twin.Lookup(lpa)
+			for _, a := range arms {
+				a.p.EnsureRead(addr.Group(lpa))
+				got, _, ok := a.tab.Lookup(lpa)
+				a.p.Enforce()
+				if ok != wok || got != want {
+					t.Fatalf("op %d, %s: Lookup(%d) = %d/%v, twin %d/%v", op, a.name, lpa, got, ok, want, wok)
+				}
+			}
+			return want, res, wok
+		}
+
+		for op := 0; op < maxOps && 3*op+2 < len(data); op++ {
+			code, x, y := data[3*op], data[3*op+1], data[3*op+2]
+			gid := addr.GroupID(x % groups)
+			base := addr.GroupBase(gid)
+			switch code % 5 {
+			case 0, 1:
+				// A sorted run inside one group: length and PPA step from
+				// the op code, start and LPA stride from the operands. PPA
+				// steps above one make the run irregular, so γ>0 learns
+				// approximate segments with CRB entries.
+				n := 1 + int(code/5)%24
+				stride := 1 + int(x/groups)%3
+				step := addr.PPA(1 + int(code/120))
+				var pairs []addr.Mapping
+				for k := 0; k < n && int(y)+k*stride < addr.GroupSize; k++ {
+					pairs = append(pairs, addr.Mapping{LPA: base + addr.LPA(int(y)+k*stride), PPA: ppa})
+					ppa += step
+				}
+				twin.Update(pairs)
+				for _, a := range arms {
+					a.p.EnsureWrite(gid)
+					a.tab.Update(pairs)
+					a.p.Enforce()
+				}
+			case 2:
+				lookup(op, base+addr.LPA(y))
+			case 3:
+				// Read feedback: a verified hit or a miss one page off.
+				// It moves only the tune block and never dirties a group.
+				lpa := base + addr.LPA(y)
+				pred, res, ok := lookup(op, lpa)
+				if !ok {
+					break
+				}
+				actual := pred + addr.PPA(code/5%2)
+				twin.NoteRead(lpa, pred, actual, res.Approx, false)
+				for _, a := range arms {
+					a.p.EnsureRead(gid)
+					a.tab.NoteRead(lpa, pred, actual, res.Approx, false)
+					a.p.Enforce()
+				}
+			case 4:
+				if y%2 == 0 {
+					// Budget change: 0 lifts the cap, small values force
+					// every group in and out.
+					for _, a := range arms {
+						a.p.SetBudget(int(x) * 8)
+						a.p.Enforce()
+					}
+					break
+				}
+				// Periodic maintenance: compact, persist dirty groups.
+				twin.Compact()
+				for _, a := range arms {
+					for _, g := range a.tab.CompactChanged() {
+						a.p.MarkDirty(g)
+					}
+					a.p.FlushDirty()
+					a.p.Enforce()
+				}
+			}
+			for _, a := range arms {
+				if err := a.p.Check(); err != nil {
+					t.Fatalf("op %d, %s: %v", op, a.name, err)
+				}
+			}
+		}
+		for gid := addr.GroupID(0); gid < groups; gid++ {
+			for off := 0; off < addr.GroupSize; off++ {
+				lookup(-1, addr.GroupBase(gid)+addr.LPA(off))
 			}
 		}
 	})

@@ -271,8 +271,9 @@ func decodeJournalRecord(rec []byte) (gid addr.GroupID, seq uint16, flags uint8,
 
 // applyDelta replays one v4 record onto cur, returning the successor
 // sections. wantSeq is the expected chain position; a gap means the
-// chain is corrupt. A full-image record replaces cur outright (and is
-// only legal at wantSeq 0, i.e. as a base).
+// chain is corrupt. A full-image record replaces cur outright and is
+// only legal at wantSeq 0, i.e. as a base; a delta is legal anywhere
+// else.
 func applyDelta(cur recSections, rec []byte, wantSeq uint16) (recSections, error) {
 	gid, seq, flags, r, err := decodeJournalRecord(rec)
 	if err != nil {
@@ -293,6 +294,9 @@ func applyDelta(cur recSections, rec []byte, wantSeq uint16) (recSections, error
 			return recSections{}, fmt.Errorf("core: journal frame group %d wraps image of group %d", gid, out.gid)
 		}
 		return out, nil
+	}
+	if wantSeq == 0 {
+		return recSections{}, fmt.Errorf("core: delta record at chain position 0 (a base must be a full image)")
 	}
 	if gid != cur.gid {
 		return recSections{}, fmt.Errorf("core: journal record for group %d applied to group %d", gid, cur.gid)
@@ -661,21 +665,28 @@ func (j *journal) fold(gid addr.GroupID, g *jgroup, img []byte, sec recSections)
 
 // load returns a group's current image and the flash reads replaying it
 // costs: every distinct charged page under the base and chain records
-// (the open SRAM tail is free).
+// (the open SRAM tail is free). Records are appended in chain order, so
+// page ids never decrease along base, chain[0], chain[1], … (check
+// asserts it) and a page shared by neighbouring records is a repeat of
+// the last one charged.
 func (j *journal) load(gid addr.GroupID) ([]byte, PageCost) {
 	g := j.groups[gid]
 	if g == nil {
 		panic(fmt.Sprintf("core: journal load of unknown group %d", gid))
 	}
-	var cost PageCost
-	seen := make(map[uint64]bool)
+	n := g.base.last - g.base.first + 1
+	for _, rec := range g.chain {
+		n += rec.last - rec.first + 1
+	}
+	cost := PageCost{ReadIDs: make([]uint64, 0, n)}
+	charged, last := false, uint64(0)
 	charge := func(rec jrec) {
 		for p := rec.first; p <= rec.last; p++ {
 			if p >= j.pageSeq {
 				continue // open SRAM tail page: free to read
 			}
-			if !seen[p] {
-				seen[p] = true
+			if !charged || p > last {
+				charged, last = true, p
 				cost.MetaReads++
 				cost.ReadIDs = append(cost.ReadIDs, journalPageIDBit|p)
 			}
@@ -807,6 +818,17 @@ func (j *journal) check() error {
 		}
 		if !bytes.Equal(g.cur.serialize(), g.curImg) {
 			return fmt.Errorf("journal: group %d cached sections diverge from cached image", gid)
+		}
+		prev := g.base
+		if prev.first > prev.last {
+			return fmt.Errorf("journal: group %d base spans pages %d..%d", gid, prev.first, prev.last)
+		}
+		for i, rec := range g.chain {
+			if rec.first > rec.last || rec.first < prev.last {
+				return fmt.Errorf("journal: group %d delta %d spans pages %d..%d after page %d (load assumes non-decreasing page ids)",
+					gid, i, rec.first, rec.last, prev.last)
+			}
+			prev = rec
 		}
 		note := func(rec jrec) {
 			if rec.block < 0 {

@@ -354,3 +354,55 @@ func FuzzJournal(f *testing.F) {
 		}
 	})
 }
+
+// TestJournalLoadChargesDistinctPages pins journal.load's charge after
+// every writeback of a chain: each distinct already-flushed page under
+// the base and chain records is read once, in record order — the set a
+// per-load dedup map would give. It also pins the page ordering load's
+// last-page dedup relies on: check rejects a chain record that starts
+// before its predecessor ends.
+func TestJournalLoadChargesDistinctPages(t *testing.T) {
+	imgs := journalTestImages(t, journalMaxChain+4)
+	j := newJournal(128)
+	most := 0
+	for i, img := range imgs {
+		j.writeback(0, img)
+		g := j.groups[0]
+		var want []uint64
+		seen := make(map[uint64]bool)
+		for _, rec := range append([]jrec{g.base}, g.chain...) {
+			for p := rec.first; p <= rec.last; p++ {
+				if p < j.pageSeq && !seen[p] {
+					seen[p] = true
+					want = append(want, journalPageIDBit|p)
+				}
+			}
+		}
+		most = max(most, len(want))
+		_, cost := j.load(0)
+		if cost.MetaReads != len(want) || len(cost.ReadIDs) != len(want) {
+			t.Fatalf("writeback %d: load charged %d reads (%d ids), want %d", i, cost.MetaReads, len(cost.ReadIDs), len(want))
+		}
+		for k := range want {
+			if cost.ReadIDs[k] != want[k] {
+				t.Fatalf("writeback %d: read %d is page %#x, want %#x", i, k, cost.ReadIDs[k], want[k])
+			}
+		}
+	}
+
+	if most < 2 {
+		t.Fatalf("loads charged at most %d pages; the test needs multi-page chains", most)
+	}
+	g := j.groups[0]
+	if len(g.chain) == 0 {
+		t.Fatal("no delta chain to reorder")
+	}
+	if err := j.check(); err != nil {
+		t.Fatal(err)
+	}
+	g.chain[0].first, g.chain[0].last = 0, 0
+	g.base.first, g.base.last = g.base.first+1, g.base.last+1
+	if err := j.check(); err == nil {
+		t.Fatal("check accepted a chain record on a page before its base")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"leaftl/internal/addr"
@@ -11,8 +12,9 @@ import (
 // MarshalGroup/InstallGroup speak the snapshot's per-group record format
 // (see persist.go), so an evicted group's bytes are exactly the
 // translation-page payload §3.8 stores in flash translation blocks, and
-// DropGroup/InstallGroup keep every incremental statistic in step so
-// SizeBytes always reports only what is DRAM-resident.
+// detachGroup/attachGroup (which InstallGroup decodes into) keep every
+// incremental statistic in step so SizeBytes always reports only what
+// is DRAM-resident.
 
 // HasGroup reports whether the group is resident in the table.
 func (t *Table) HasGroup(id addr.GroupID) bool {
@@ -27,7 +29,7 @@ func (t *Table) GroupFootprint(id addr.GroupID) int {
 	if g == nil {
 		return 0
 	}
-	return g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
+	return g.footprint()
 }
 
 // ResidentGroups returns the IDs of every resident group in ascending
@@ -41,8 +43,8 @@ func (t *Table) ResidentGroups() []addr.GroupID {
 }
 
 // MarshalGroup serializes one resident group into its translation-page
-// record. The group stays resident; callers pair this with DropGroup to
-// evict.
+// record. The group stays resident; callers pair this with detachGroup
+// to evict.
 func (t *Table) MarshalGroup(id addr.GroupID) ([]byte, error) {
 	g := t.lookupGroup(id)
 	if g == nil {
@@ -66,48 +68,150 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	if r.off != len(data) {
 		return 0, fmt.Errorf("core: %d trailing bytes in group record", len(data)-r.off)
 	}
-	if int(g.tune.gamma) > t.gamma {
-		return 0, fmt.Errorf("core: group %d tuned gamma %d exceeds the table bound %d",
-			gid, g.tune.gamma, t.gamma)
+	if err := t.attachGroup(gid, g); err != nil {
+		return 0, err
 	}
-	if cur := t.lookupGroup(gid); cur != nil && (len(cur.levels) > 0 || len(cur.crb.entries) > 0) {
-		return 0, fmt.Errorf("core: group %d is already resident", gid)
-	}
-	// group() creates (or finds) the empty counted group; adopting the
-	// decoded state then mirrors the incremental bookkeeping of the
-	// mutation path, so no recomputeStats sweep is needed.
-	dst := t.group(gid)
-	dst.levels = g.levels
-	dst.crb = g.crb
-	dst.tune = g.tune
-	t.noteLevels(dst, 0)
-	for li := range dst.levels {
-		for i := range dst.levels[li].segs {
-			t.noteAdd(dst.levels[li].segs[i])
-		}
-	}
-	t.crbBytes += dst.crb.sizeBytes()
 	return gid, nil
 }
 
-// DropGroup removes a resident group from DRAM, returning the footprint
-// it freed. The caller owns keeping a serialized image (MarshalGroup)
-// if the group's state must survive.
-func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
+// attachGroup makes a decoded group resident under id: InstallGroup's
+// decoded record, or the parked copy the pager kept when it evicted the
+// group. The table takes ownership of g. Adopting it mirrors the
+// incremental bookkeeping of the mutation path, so no recomputeStats
+// sweep is needed.
+func (t *Table) attachGroup(id addr.GroupID, g *group) error {
+	if int(g.tune.gamma) > t.gamma {
+		return fmt.Errorf("core: group %d tuned gamma %d exceeds the table bound %d",
+			id, g.tune.gamma, t.gamma)
+	}
+	cur := t.lookupGroup(id)
+	if cur != nil && (len(cur.levels) > 0 || len(cur.crb.entries) > 0) {
+		return fmt.Errorf("core: group %d is already resident", id)
+	}
+	// An empty resident group is already counted at zero levels; g takes
+	// its slot and moves the count to its own level total.
+	if cur == nil {
+		t.growGroups(id)
+		t.nGroups++
+		t.levelFreq[0]++
+	}
+	t.groups[id] = g
+	t.noteLevels(g, 0)
+	n, accurate := g.segmentCounts()
+	t.nSegments += n
+	t.nAccurate += accurate
+	t.crbBytes += g.crb.sizeBytes()
+	return nil
+}
+
+// detachGroup removes a resident group from the table and returns it,
+// still decoded (nil when the group is not resident). Every incremental
+// statistic is updated as if its segments and CRB entries were deleted;
+// the caller owns the returned state and keeps an image (MarshalGroup)
+// if the group must survive.
+func (t *Table) detachGroup(id addr.GroupID) *group {
 	g := t.lookupGroup(id)
 	if g == nil {
-		return 0, false
+		return nil
 	}
-	freed = g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
-	for li := range g.levels {
-		for i := range g.levels[li].segs {
-			t.noteRemove(g.levels[li].segs[i])
-		}
-	}
+	n, accurate := g.segmentCounts()
+	t.nSegments -= n
+	t.nAccurate -= accurate
 	t.crbBytes -= g.crb.sizeBytes()
 	t.totalLevels -= len(g.levels)
 	t.levelFreq[len(g.levels)]--
 	t.nGroups--
 	t.groups[id] = nil
-	return freed, true
+	return g
+}
+
+// segmentCounts returns how many segments the group holds and how many
+// of them are accurate.
+func (g *group) segmentCounts() (n, accurate int) {
+	for li := range g.levels {
+		segs := g.levels[li].segs
+		n += len(segs)
+		for i := range segs {
+			if !segs[i].K.Flag() {
+				accurate++
+			}
+		}
+	}
+	return n, accurate
+}
+
+// footprint is the DRAM bytes a group accounts for: encoded segments
+// plus the flat CRB footprint (the quantities SizeBytes sums).
+func (g *group) footprint() int {
+	return g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
+}
+
+// tighten repacks g into exactly sized storage for parking off the
+// table: one segment array and one key array for the whole group, each
+// level a full slice of it (cap == len, so a later insert reallocates
+// that level alone), and no CRB free list. A group whose levels already
+// have cap == len, as readGroupRecord decodes them, is left alone.
+func (g *group) tighten() {
+	g.crb.free = nil
+	spare := cap(g.levels) != len(g.levels)
+	n := 0
+	for i := range g.levels {
+		l := &g.levels[i]
+		spare = spare || cap(l.segs) != len(l.segs) || cap(l.keys) != len(l.keys)
+		n += len(l.segs)
+	}
+	if !spare {
+		return
+	}
+	segs := make([]Segment, 0, n)
+	keys := make([]uint8, 0, n)
+	levels := make([]level, len(g.levels))
+	for i := range g.levels {
+		a := len(segs)
+		segs = append(segs, g.levels[i].segs...)
+		keys = append(keys, g.levels[i].keys...)
+		levels[i] = level{keys: keys[a:len(keys):len(keys)], segs: segs[a:len(segs):len(segs)]}
+	}
+	g.levels = levels
+}
+
+// sameGroup reports the first difference between two decoded groups —
+// tune block, levels, keys, segments with their decoded cache, CRB
+// entries, CRB size and owner index — or nil when a lookup cannot tell
+// them apart.
+func sameGroup(a, b *group) error {
+	if a.tune != b.tune {
+		return fmt.Errorf("tune block differs")
+	}
+	if len(a.levels) != len(b.levels) {
+		return fmt.Errorf("%d levels, want %d", len(a.levels), len(b.levels))
+	}
+	for li := range a.levels {
+		la, lb := &a.levels[li], &b.levels[li]
+		if len(la.segs) != len(lb.segs) || len(la.keys) != len(la.segs) {
+			return fmt.Errorf("level %d has %d segments and %d keys, want %d", li, len(la.segs), len(la.keys), len(lb.segs))
+		}
+		for i := range la.segs {
+			if la.segs[i] != lb.segs[i] || la.keys[i] != lb.keys[i] {
+				return fmt.Errorf("level %d segment %d differs: %v", li, i, la.segs[i])
+			}
+		}
+	}
+	if len(a.crb.entries) != len(b.crb.entries) || a.crb.bytes != b.crb.bytes {
+		return fmt.Errorf("CRB holds %d entries in %dB, want %d in %dB",
+			len(a.crb.entries), a.crb.bytes, len(b.crb.entries), b.crb.bytes)
+	}
+	for i := range a.crb.entries {
+		if !bytes.Equal(a.crb.entries[i].lpas, b.crb.entries[i].lpas) {
+			return fmt.Errorf("CRB entry %d differs", i)
+		}
+	}
+	for o := 0; o < addr.GroupSize; o++ {
+		sa, oka := a.crb.lookup(uint8(o))
+		sb, okb := b.crb.lookup(uint8(o))
+		if sa != sb || oka != okb {
+			return fmt.Errorf("CRB owner of offset %d differs", o)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -72,6 +73,13 @@ type gmdEntry struct {
 	resident  bool
 	dirty     bool // DRAM copy differs from image
 	ref       bool // CLOCK reference bit
+
+	// parked is the group's decoded state, kept on the host when the
+	// group is evicted so a page-in reattaches it instead of decoding
+	// the image. It always serializes to exactly the current image (Check
+	// audits this); nil for resident groups and for groups restored from
+	// images, which page in through InstallGroup.
+	parked *group
 }
 
 // Pager demand-pages a table's segment groups against a byte budget.
@@ -267,12 +275,21 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) PageCost {
 // load demand-loads an evicted group back into the table: from its GMD
 // image, or — under the journal — by replaying its base image plus
 // delta chain, charging every distinct flash page the chain touches.
+// The flash charge is always the image's; on the host, a parked copy is
+// reattached as is and only groups without one decode the image.
 func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 	img, cost := e.image, PageCost{}
 	if p.journal != nil {
 		img, cost = p.journal.load(gid)
 	}
-	if _, err := p.table.InstallGroup(img); err != nil {
+	var err error
+	if e.parked != nil {
+		err = p.table.attachGroup(gid, e.parked)
+		e.parked = nil
+	} else {
+		_, err = p.table.InstallGroup(img)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
 	}
 	e.resident = true
@@ -288,6 +305,15 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 	}
 	n := p.imagePages(len(e.image))
 	return PageCost{MetaReads: n, ReadIDs: pageIDs(e.ppa, n)}
+}
+
+// currentImage returns the group's current translation-page record: its
+// GMD image, or the journal's folded image.
+func (p *Pager) currentImage(gid addr.GroupID, e *gmdEntry) []byte {
+	if p.journal != nil {
+		return p.journal.image(gid)
+	}
+	return e.image
 }
 
 // Enforce evicts CLOCK victims until the resident set fits the budget.
@@ -341,7 +367,18 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 	if e.dirty || !persisted {
 		cost.Add(p.writeback(gid, e))
 	}
-	freed, _ := p.table.DropGroup(gid)
+	g := p.table.detachGroup(gid)
+	freed := g.footprint()
+	// Park the decoded group for the next page-in. It must serialize to
+	// exactly the image that page-in charges for, and one section can
+	// differ: NoteRead advances the tune block (window counters, hint,
+	// exact bits) without dirtying the group, so after a clean eviction
+	// the image still holds the older tune block — and paging in has
+	// always restored that copy. The parked tune block is therefore taken
+	// from the image, never from DRAM.
+	g.tune = decodeTune(p.currentImage(gid, e)[4 : 4+tuneRecordBytes])
+	g.tighten()
+	e.parked = g
 	e.dramBytes = freed
 	e.resident = false
 	e.dirty = false
@@ -426,11 +463,7 @@ func (p *Pager) EvictedImages() map[addr.GroupID][]byte {
 	out := make(map[addr.GroupID][]byte, p.evicted)
 	for gid, e := range p.gmd {
 		if !e.resident {
-			if p.journal != nil {
-				out[gid] = p.journal.image(gid)
-			} else {
-				out[gid] = e.image
-			}
+			out[gid] = p.currentImage(gid, e)
 		}
 	}
 	return out
@@ -524,8 +557,9 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 }
 
 // Check audits the GMD against the table: residency bits, ring
-// membership, flash-page accounting, and the budget cap. It is the
-// mapping-side leg of the device's CheckInvariants.
+// membership, flash-page accounting, the budget cap, and every parked
+// copy against the image it stands in for. It is the mapping-side leg
+// of the device's CheckInvariants.
 func (p *Pager) Check() error {
 	if !p.Active() {
 		return nil
@@ -562,6 +596,13 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: evicted group %d has no translation-page image", gid)
 		case !e.resident && e.dirty:
 			return fmt.Errorf("gmd: evicted group %d is dirty (evictions write back)", gid)
+		case e.resident && e.parked != nil:
+			return fmt.Errorf("gmd: resident group %d still holds a parked copy", gid)
+		}
+		if e.parked != nil {
+			if err := p.checkParked(gid, e); err != nil {
+				return err
+			}
 		}
 		if !e.resident {
 			evicted++
@@ -591,6 +632,35 @@ func (p *Pager) Check() error {
 	}
 	if p.budget > 0 && p.table.SizeBytes() > p.budget {
 		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.table.SizeBytes(), p.budget)
+	}
+	return nil
+}
+
+// checkParked proves that a parked copy is the image it stands in for:
+// the image decodes, the parked group serializes to exactly those bytes,
+// its decoded state (level keys, segment cache, CRB index) matches what
+// a page-in from the image would build, and its footprint is the one
+// the GMD accounts. Page-in skips the decode, so this audit is where
+// the wire format keeps being proven.
+func (p *Pager) checkParked(gid addr.GroupID, e *gmdEntry) error {
+	img := p.currentImage(gid, e)
+	r := reader{buf: img}
+	dgid, decoded, err := readGroupRecord(&r)
+	switch {
+	case err != nil:
+		return fmt.Errorf("gmd: image of parked group %d does not decode: %v", gid, err)
+	case r.off != len(img) || dgid != gid:
+		return fmt.Errorf("gmd: image of parked group %d is framed for group %d with %d trailing bytes", gid, dgid, len(img)-r.off)
+	}
+	enc, err := appendGroupRecord(nil, gid, e.parked)
+	if err != nil || !bytes.Equal(enc, img) {
+		return fmt.Errorf("gmd: parked group %d does not serialize to its image (%v)", gid, err)
+	}
+	if err := sameGroup(e.parked, decoded); err != nil {
+		return fmt.Errorf("gmd: parked group %d differs from its decoded image: %v", gid, err)
+	}
+	if f := e.parked.footprint(); f != e.dramBytes {
+		return fmt.Errorf("gmd: parked group %d has a %dB footprint, GMD accounts %dB", gid, f, e.dramBytes)
 	}
 	return nil
 }

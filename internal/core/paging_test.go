@@ -45,7 +45,7 @@ func lookupAll(tab *Table, pages int) map[addr.LPA]addr.PPA {
 	return out
 }
 
-// TestGroupRoundTrip evicts every group through MarshalGroup/DropGroup
+// TestGroupRoundTrip evicts every group through MarshalGroup/detachGroup
 // and reinstalls it, asserting translations and incremental statistics
 // come back bit-identical.
 func TestGroupRoundTrip(t *testing.T) {
@@ -61,9 +61,9 @@ func TestGroupRoundTrip(t *testing.T) {
 		}
 		images[gid] = img
 		foot := tab.GroupFootprint(gid)
-		freed, ok := tab.DropGroup(gid)
-		if !ok || freed != foot {
-			t.Fatalf("drop group %d: freed %d, footprint %d, ok %v", gid, freed, foot, ok)
+		g := tab.detachGroup(gid)
+		if g == nil || g.footprint() != foot {
+			t.Fatalf("detach group %d: got %v, footprint %d", gid, g, foot)
 		}
 	}
 	if tab.SizeBytes() != 0 || tab.Stats().Groups != 0 {
@@ -219,5 +219,133 @@ func TestSnapshotWithImages(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatal("snapshot of paged table differs from fully resident snapshot")
+	}
+}
+
+// TestCleanEvictionRestoresImageTune pins what a page-in brings back
+// after a clean eviction: NoteRead advances a resident group's tune
+// block without dirtying it, so the eviction writes nothing and the
+// group comes back with the image's older tune block — exactly what
+// decoding the image gives, on both persistence paths.
+func TestCleanEvictionRestoresImageTune(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "image"
+		if journaled {
+			name = "journal"
+		}
+		t.Run(name, func(t *testing.T) {
+			tab := buildMixedTable(t, 4)
+			p := NewPager(tab, 4096)
+			if journaled {
+				p.EnableJournal()
+			}
+			p.SetBudget(tab.SizeBytes())
+			p.FlushDirty()
+			const gid = addr.GroupID(0)
+			e := p.gmd[gid]
+			if e == nil || !e.resident || e.dirty {
+				t.Fatalf("group %d not resident and clean after FlushDirty: %+v", gid, e)
+			}
+			img := append([]byte(nil), p.currentImage(gid, e)...)
+			ref := NewTable(4)
+			if _, err := ref.InstallGroup(img); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.lookupGroup(gid).tune
+
+			lpa := addr.GroupBase(gid) + 40
+			ppa, _, ok := tab.Lookup(lpa)
+			if !ok {
+				t.Fatalf("LPA %d unmapped", lpa)
+			}
+			tab.NoteRead(lpa, ppa, ppa, false, false)
+			if tab.lookupGroup(gid).tune == want {
+				t.Fatal("NoteRead left the tune block unchanged")
+			}
+			if e.dirty {
+				t.Fatal("NoteRead dirtied the group")
+			}
+
+			if cost := p.evict(gid, e); cost.MetaWrites != 0 {
+				t.Fatalf("clean eviction wrote %d pages", cost.MetaWrites)
+			}
+			if err := p.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if _, known := p.EnsureRead(gid); !known || !tab.HasGroup(gid) {
+				t.Fatal("page-in did not make the group resident")
+			}
+			if got := tab.lookupGroup(gid).tune; got != want {
+				t.Fatalf("page-in restored tune %+v, the image holds %+v", got, want)
+			}
+			if err := p.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPagerCheckRejectsAlteredParkedCopy pins the parked-copy audit:
+// page-in reattaches the decoded group kept at eviction without reading
+// the image, so Check must notice any way that copy drifts from the
+// image — in a wire field, the tune block, or decoded-only state (level
+// keys, the segment cache, the CRB owner index).
+func TestPagerCheckRejectsAlteredParkedCopy(t *testing.T) {
+	alterations := []struct {
+		name  string
+		apply func(g *group) bool
+	}{
+		{"intercept", func(g *group) bool { g.levels[0].segs[0].I++; return true }},
+		{"span", func(g *group) bool { g.levels[0].segs[0].L++; return true }},
+		{"key", func(g *group) bool { g.levels[0].keys[0]++; return true }},
+		{"segment cache", func(g *group) bool { g.levels[0].segs[0].p0++; return true }},
+		{"tune", func(g *group) bool { g.tune.reads++; return true }},
+		{"exact bit", func(g *group) bool { g.tune.exact.set(200); return true }},
+		{"crb owner", func(g *group) bool {
+			if len(g.crb.entries) == 0 {
+				return false
+			}
+			g.crb.setOwner(g.crb.entries[0].start(), ownerNone)
+			return true
+		}},
+		{"crb entry", func(g *group) bool {
+			if len(g.crb.entries) == 0 {
+				return false
+			}
+			g.crb.entries[0].lpas = g.crb.entries[0].lpas[:len(g.crb.entries[0].lpas)-1]
+			return true
+		}},
+	}
+	for _, journaled := range []bool{false, true} {
+		for _, alt := range alterations {
+			name := alt.name
+			if journaled {
+				name += "/journal"
+			}
+			t.Run(name, func(t *testing.T) {
+				tab := buildMixedTable(t, 4)
+				p := NewPager(tab, 4096)
+				if journaled {
+					p.EnableJournal()
+				}
+				p.SetBudget(1)
+				p.Enforce()
+				if err := p.Check(); err != nil {
+					t.Fatalf("before altering: %v", err)
+				}
+				altered := false
+				for gid := addr.GroupID(0); gid < 8 && !altered; gid++ {
+					if e := p.gmd[gid]; e != nil && e.parked != nil && len(e.parked.levels) > 0 {
+						altered = alt.apply(e.parked)
+					}
+				}
+				if !altered {
+					t.Fatal("no parked group to alter")
+				}
+				if err := p.Check(); err == nil {
+					t.Fatal("Check accepted an altered parked copy")
+				}
+			})
+		}
 	}
 }

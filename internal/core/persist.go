@@ -103,6 +103,21 @@ func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeTune unpacks a record's tune block plus exact bitmap
+// (tuneRecordBytes long, as appendGroupRecord writes it).
+func decodeTune(b []byte) groupTune {
+	tune := groupTune{
+		gamma:  b[0],
+		hint:   int8(b[1]),
+		streak: b[2],
+		reads:  binary.LittleEndian.Uint32(b[3:7]),
+		misses: binary.LittleEndian.Uint32(b[7:11]),
+		costly: binary.LittleEndian.Uint32(b[11:15]),
+	}
+	copy(tune.exact[:], b[15:tuneRecordBytes])
+	return tune
+}
+
 // readGroupRecord decodes one per-group record. The returned group's CRB
 // is normalized (owner index rebuilt, entries sorted) so the group is
 // ready to serve lookups.
@@ -117,25 +132,11 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	if gid >= 1<<24 {
 		return 0, nil, fmt.Errorf("core: group id %d implausible", gid)
 	}
-	tuneRaw, err := r.bytes(3)
+	tuneRaw, err := r.bytes(tuneRecordBytes)
 	if err != nil {
 		return 0, nil, err
 	}
-	tune := groupTune{gamma: tuneRaw[0], hint: int8(tuneRaw[1]), streak: tuneRaw[2]}
-	if tune.reads, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	if tune.misses, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	if tune.costly, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	bm, err := r.bytes(exactBitmapBytes)
-	if err != nil {
-		return 0, nil, err
-	}
-	copy(tune.exact[:], bm)
+	tune := decodeTune(tuneRaw)
 	nLevels, err := r.u16()
 	if err != nil {
 		return 0, nil, err

@@ -24,9 +24,9 @@ const SegmentBytes = 8
 // within its 4-byte budget for arbitrarily large drives.
 type Segment struct {
 	SLPA addr.LPA     // absolute first LPA (its group is implied)
-	L    uint8        // span: the segment covers [SLPA, SLPA+L]
-	K    float16.Bits // slope; LSB is the type flag (0 accurate, 1 approximate)
 	I    float32      // intercept, in group-offset space
+	K    float16.Bits // slope; LSB is the type flag (0 accurate, 1 approximate)
+	L    uint8        // span: the segment covers [SLPA, SLPA+L]
 
 	// Decoded cache, filled by prime. Not part of the 8-byte wire format
 	// (Encode/DecodeSegment are unchanged); every field is a pure function
@@ -34,10 +34,15 @@ type Segment struct {
 	// trip stay ==-comparable. With the cache hot, the lookup path for
 	// accurate segments is pure integer arithmetic — no float16 decode, no
 	// math.Round(1/K) stride recomputation, no math.Ceil.
-	kf     float64  // float16.To64(K)
+	//
+	// The slope is cached as float32 and widened to float64 at every use:
+	// float16→float32 is exact, so float64(kf) == float16.To64(K) bit for
+	// bit. With primed sharing a word with K and L, the struct packs into
+	// 24 bytes (TestSegmentLayout).
+	primed bool
+	kf     float32  // float16.To32(K)
 	stride uint32   // round(1/kf) for accurate segments, ≥ 1
 	p0     addr.PPA // prediction at SLPA (fast-path anchor)
-	primed bool
 }
 
 // prime fills the decoded cache. It must be called whenever a segment
@@ -45,10 +50,10 @@ type Segment struct {
 // anchor). Idempotent and cheap; the table maintains the invariant that
 // every resident segment is primed.
 func (s *Segment) prime() {
-	s.kf = float16.To64(s.K)
+	s.kf = float16.To32(s.K)
 	st := uint32(1)
-	if s.kf > 0 {
-		if r := uint32(math.Round(1 / s.kf)); r > 0 {
+	if k := float64(s.kf); k > 0 {
+		if r := uint32(math.Round(1 / k)); r > 0 {
 			st = r
 		}
 	}
@@ -140,7 +145,7 @@ func (s Segment) Predict(lpa addr.LPA) addr.PPA {
 // predictApprox evaluates the line with the cached float slope (primed
 // segments only) — one multiply and a ceil, no float16 decode.
 func (s *Segment) predictApprox(off uint8) addr.PPA {
-	p := math.Ceil(s.kf*float64(off) + float64(s.I))
+	p := math.Ceil(float64(s.kf)*float64(off) + float64(s.I))
 	if p < 0 {
 		p = 0
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/float16"
 )
 
 func mappings(start addr.LPA, stride uint32, ppa addr.PPA, n int) []addr.Mapping {
@@ -225,6 +228,28 @@ func TestSegmentOverlaps(t *testing.T) {
 		}
 		if got := c.b.Overlaps(a); got != c.want {
 			t.Errorf("overlap not symmetric for %v", c.b)
+		}
+	}
+}
+
+// TestSegmentLayout pins the decoded segment at 24 bytes — the parked
+// copies of evicted groups and every resident level hold them — and the
+// exactness its float32 slope cache relies on: widening
+// float16.To32(K) to float64 gives float16.To64(K) bit for bit, for
+// every one of the 65,536 slope encodings, so predictions computed from
+// the cache are unchanged.
+func TestSegmentLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 24 {
+		t.Fatalf("Segment is %d bytes, want 24", got)
+	}
+	for k := 0; k <= math.MaxUint16; k++ {
+		h := float16.Bits(k)
+		wide, want := float64(float16.To32(h)), float16.To64(h)
+		if math.Float64bits(wide) != math.Float64bits(want) {
+			t.Fatalf("K=%#04x: float64(To32) = %v, To64 = %v", k, wide, want)
+		}
+		if !math.IsNaN(want) && wide != want {
+			t.Fatalf("K=%#04x: float64(To32) = %v != To64 = %v", k, wide, want)
 		}
 	}
 }

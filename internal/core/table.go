@@ -441,6 +441,19 @@ func (t *Table) insertLearned(ls Learned) {
 }
 
 func (t *Table) group(id addr.GroupID) *group {
+	t.growGroups(id)
+	g := t.groups[id]
+	if g == nil {
+		g = &group{tune: groupTune{gamma: clampGamma(t.gamma)}}
+		t.groups[id] = g
+		t.nGroups++
+		t.levelFreq[0]++
+	}
+	return g
+}
+
+// growGroups extends the dense group slice to cover id.
+func (t *Table) growGroups(id addr.GroupID) {
 	for int(id) >= len(t.groups) {
 		if cap(t.groups) > len(t.groups) {
 			t.groups = t.groups[:cap(t.groups)]
@@ -457,14 +470,6 @@ func (t *Table) group(id addr.GroupID) *group {
 		copy(grown, t.groups)
 		t.groups = grown
 	}
-	g := t.groups[id]
-	if g == nil {
-		g = &group{tune: groupTune{gamma: clampGamma(t.gamma)}}
-		t.groups[id] = g
-		t.nGroups++
-		t.levelFreq[0]++
-	}
-	return g
 }
 
 // lookupGroup is the read-only counterpart of group.
@@ -956,11 +961,9 @@ func (t *Table) recomputeStats() {
 		t.levelFreq[n]++
 		g.crb.recompute()
 		t.crbBytes += g.crb.sizeBytes()
-		for li := range g.levels {
-			for i := range g.levels[li].segs {
-				t.noteAdd(g.levels[li].segs[i])
-			}
-		}
+		segs, accurate := g.segmentCounts()
+		t.nSegments += segs
+		t.nAccurate += accurate
 	})
 }
 

@@ -167,8 +167,8 @@ func TestTuneStateRoundTripsThroughGroupRecord(t *testing.T) {
 	}
 	before := tb.GroupTunes()
 
-	if _, ok := tb.DropGroup(gid); !ok {
-		t.Fatal("drop failed")
+	if tb.detachGroup(gid) == nil {
+		t.Fatal("detach failed")
 	}
 	if gid2, err := tb.InstallGroup(img); err != nil || gid2 != gid {
 		t.Fatalf("install: %v (gid %d)", err, gid2)

@@ -187,3 +187,60 @@ func TestPagedSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPageInAllocs gates the host cost of a demand page-in. A journaled
+// scheme whose budget holds two of its eight groups translates
+// round-robin across them, so every Translate pages one group in and
+// evicts another (clean, after the warm-up round). Page-in reattaches the
+// decoded group parked at eviction, so what remains is the flash charge
+// itself: one slice of journal page ids per load. Decoding the image
+// instead costs 12 allocations per page-in on this workload.
+func TestPageInAllocs(t *testing.T) {
+	const groups = 8
+	s := New(4, 256, WithJournal())
+	var ppa addr.PPA
+	for g := 0; g < groups; g++ {
+		// A sequential run plus an irregular overwrite, so every group
+		// carries two levels, approximate segments and CRB entries.
+		base := addr.LPA(g * 256)
+		var pairs []addr.Mapping
+		for i := 0; i < 256; i++ {
+			pairs = append(pairs, addr.Mapping{LPA: base + addr.LPA(i), PPA: ppa})
+			ppa++
+		}
+		s.Commit(pairs)
+		pairs = pairs[:0]
+		for i := 3; i < 200; i += 7 {
+			pairs = append(pairs, addr.Mapping{LPA: base + addr.LPA(i), PPA: ppa})
+			ppa += addr.PPA(1 + i%3)
+		}
+		s.Commit(pairs)
+	}
+	s.SetBudget(2 * s.MemoryBytes() / groups)
+
+	next := 0
+	translate := func() {
+		lpa := addr.LPA(next%groups*256 + 17)
+		next++
+		if _, ok := s.Translate(lpa); !ok {
+			t.Fatalf("Translate(%d) unmapped", lpa)
+		}
+	}
+	for i := 0; i < 2*groups; i++ {
+		translate()
+	}
+	if err := s.CheckMapping(); err != nil {
+		t.Fatal(err)
+	}
+	faults, calls := s.PagingStats().Faults, next
+	avg := testing.AllocsPerRun(400, translate)
+	if got := s.PagingStats().Faults - faults; got != uint64(next-calls) {
+		t.Fatalf("%d page-ins over %d translations; every one should fault", got, next-calls)
+	}
+	if err := s.CheckMapping(); err != nil {
+		t.Fatal(err)
+	}
+	if avg > 1 {
+		t.Errorf("a journaled page-in through Translate allocates %.2f objects, want ≤ 1", avg)
+	}
+}
