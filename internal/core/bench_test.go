@@ -107,3 +107,74 @@ func BenchmarkEncode(b *testing.B) {
 		_ = DecodeSegment(raw, seg.Group())
 	}
 }
+
+// relearnStack builds groups shaped like the GC-heavy workload's: each
+// group is written by 32-page scans and then overwritten by buffer
+// flushes of scattered 1–4-page hot writes, which stack deep levels,
+// while GC relocation batches — a sorted sample of the groups' LPAs at
+// fresh consecutive PPAs, as GC rewrites a victim block's surviving
+// pages — are relearned in between and keep merging the upper levels. It
+// returns the table's snapshot and one more relocation batch.
+func relearnStack(gamma, groups int) (snap []byte, batch []addr.Mapping) {
+	rng := rand.New(rand.NewSource(5))
+	tb := NewTable(gamma)
+	tb.EnableExactBitmap()
+	space := groups * addr.GroupSize
+	ppa := addr.PPA(1)
+	relocation := func() []addr.Mapping {
+		var lpas []addr.LPA
+		for l := 0; l < space; l++ {
+			if rng.Intn(16) == 0 {
+				lpas = append(lpas, addr.LPA(l))
+			}
+		}
+		return assignPPAs(lpas, &ppa, 0)
+	}
+	for start := 0; start < space; start += 32 {
+		lpas := make([]addr.LPA, 32)
+		for i := range lpas {
+			lpas[i] = addr.LPA(start + i)
+		}
+		tb.Update(assignPPAs(lpas, &ppa, 0))
+	}
+	for flush := 0; flush < 120; flush++ {
+		var lpas []addr.LPA
+		for w := 0; w < 16; w++ {
+			start := rng.Intn(space - 4)
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				lpas = append(lpas, addr.LPA(start+i))
+			}
+		}
+		tb.Update(assignPPAs(lpas, &ppa, 0))
+		if flush%4 == 3 {
+			tb.Relearn(relocation())
+		}
+	}
+	snap, err := tb.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	return snap, relocation()
+}
+
+// BenchmarkRelearn measures Table.Relearn of one GC relocation batch
+// over deep level stacks: learning, insertion, the immediate compaction
+// of every touched group and the bitmap refresh. The stack is restored
+// from a snapshot outside the timer, so every iteration relearns the
+// same state.
+func BenchmarkRelearn(b *testing.B) {
+	const gamma = 16 // the GC-heavy benchmark's γ ceiling
+	snap, batch := relearnStack(gamma, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tb := NewTable(gamma)
+		if err := tb.UnmarshalBinary(snap); err != nil {
+			b.Fatal(err)
+		}
+		tb.EnableExactBitmap()
+		b.StartTimer()
+		tb.Relearn(batch)
+	}
+}

@@ -257,3 +257,36 @@ func FuzzPager(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompact drives the compaction differential of
+// TestCompactMatchesPerSegmentReplay from fuzzed bytes: the first byte
+// picks γ and the bitmap, then each byte pair picks an operation (scan,
+// strided or irregular run, scattered hot writes, relocation relearn,
+// whole-table compaction, page-out round trip) and seeds its shape. After
+// every operation the production table must match the per-segment oracle
+// group for group, with equal statistics.
+func FuzzCompact(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 4, 2, 6, 3, 7, 0})
+	f.Add([]byte{0x06, 0, 9, 3, 1, 3, 2, 4, 5, 5, 8, 8, 1, 6, 4, 3, 7, 7, 2})
+	long := make([]byte, 1200)
+	rand.New(rand.NewSource(2)).Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		gammas := []int{0, 2, 4, 16}
+		c := newCompactTwin(gammas[data[0]&3], data[0]&4 != 0)
+		rng := rand.New(rand.NewSource(0))
+		const maxOps = 600
+		for op := 0; op < maxOps && 2*op+2 < len(data); op++ {
+			code, seed := data[2*op+1], data[2*op+2]
+			kind := int(code) % 9
+			rng.Seed(int64(code)<<8 | int64(seed))
+			c.step(kind, rng)
+			if err := c.check(); err != nil {
+				t.Fatalf("op %d (kind %d): %v", op, kind, err)
+			}
+		}
+	})
+}

@@ -55,6 +55,18 @@ type Table struct {
 	edits   []boundaryEdit
 	learner learnBuf
 
+	// mergeOut and mergePend are mergeLevel's sweep buffers: the merged
+	// level under construction and the level below's unconsumed segments.
+	mergeOut  []Segment
+	mergePend []Segment
+
+	// sub and failed are the bitmap path's pair buffers: insertRun's
+	// per-segment pairs and mispredicted pairs, and refreshExactBits's
+	// slots that failed verification. They are inputs to learn calls,
+	// never their output, and each is dead before its next reuse.
+	sub    []addr.Mapping
+	failed []addr.Mapping
+
 	// refitter is a second learn buffer for the bitmap path's γ=0
 	// refits, which run while results of t.learner are still pending
 	// insertion (a learnBuf's output is only valid until its next learn
@@ -290,13 +302,14 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 			n++
 			continue
 		}
-		sub := pairsFor(run, ls.LPAs)
-		var failed []addr.Mapping
+		sub := pairsFor(t.sub[:0], run, ls.LPAs)
+		failed := t.failed[:0]
 		for _, m := range sub {
 			if ls.Seg.Predict(m.LPA) != m.PPA {
 				failed = append(failed, m)
 			}
 		}
+		t.sub, t.failed = sub, failed
 		costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(failed)
 		costReplace := SegmentBytes * strideRuns(sub)
 		if len(failed) == 0 || costKeep <= costReplace {
@@ -335,10 +348,9 @@ func strideRuns(pairs []addr.Mapping) int {
 	return runs
 }
 
-// pairsFor gathers the mappings of run whose LPAs appear in lpas
+// pairsFor appends to sub the mappings of run whose LPAs appear in lpas
 // (both LPA-sorted).
-func pairsFor(run []addr.Mapping, lpas []addr.LPA) []addr.Mapping {
-	sub := make([]addr.Mapping, 0, len(lpas))
+func pairsFor(sub, run []addr.Mapping, lpas []addr.LPA) []addr.Mapping {
 	i := 0
 	for _, l := range lpas {
 		for i < len(run) && run[i].LPA < l {
@@ -377,7 +389,7 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 	if g == nil {
 		return
 	}
-	var failed []addr.Mapping
+	failed := t.failed[:0]
 	for i := range pairs {
 		ppa, _, ok := t.Lookup(pairs[i].LPA)
 		if ok && ppa == pairs[i].PPA {
@@ -386,6 +398,7 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 			failed = append(failed, pairs[i])
 		}
 	}
+	t.failed = failed
 	if len(failed) == 0 {
 		return
 	}
@@ -586,8 +599,8 @@ func (t *Table) segUpdate(g *group, ls Learned, li int) {
 // to the right), and re-homes every victim that survives the merge: back
 // into this level if now disjoint, otherwise one level down (lines 9–16).
 // The caller must have stamped the incoming segment's LPA set into t.mark
-// (stampLPAs / stampSegment). Shared by segUpdate and compactInsert,
-// which used to duplicate this block.
+// (stampLPAs). Compaction's mergeLevel performs the same placement for a
+// whole level in one sweep.
 func (t *Table) placeSegment(g *group, seg Segment, li int) {
 	lvl := &g.levels[li]
 	startOff := uint16(seg.Start())
@@ -847,27 +860,29 @@ func (t *Table) CompactChanged() []addr.GroupID {
 }
 
 func (t *Table) compactGroup(g *group) {
-	// Each pass pops the top level and re-plays its segments one level
-	// down, shedding stale claims. An accurate segment cannot represent
+	// Each pass pops the top level and merges its segments into the level
+	// below, shedding stale claims. An accurate segment cannot represent
 	// the loss of an *interior* stride LPA (only boundary trims persist),
 	// so groups with such interleavings legitimately keep more than one
 	// level — the loop stops at the first pass that makes no progress.
+	// Segments only enter or leave levels through noteAdd/noteRemove, so
+	// the table-wide count measures this group's progress.
 	for len(g.levels) > 1 {
 		beforeLevels := len(g.levels)
-		beforeSegs := g.segmentCount()
+		beforeSegs := t.nSegments
 
+		// Clear the popped slot: the backing array keeps it, and would
+		// pin the top level's storage after mergeLevel is done with it.
 		top := g.levels[0]
-		old := len(g.levels)
+		g.levels[0] = level{}
 		g.levels = g.levels[1:]
-		t.noteLevels(g, old)
+		t.noteLevels(g, beforeLevels)
 		for _, seg := range top.segs {
 			t.noteRemove(seg)
 		}
-		for _, seg := range top.segs {
-			t.compactInsert(g, seg)
-		}
+		t.mergeLevel(g, top)
 		// Drop any levels emptied by merging.
-		old = len(g.levels)
+		old := len(g.levels)
 		kept := g.levels[:0]
 		for _, lvl := range g.levels {
 			if lvl.len() > 0 {
@@ -877,7 +892,7 @@ func (t *Table) compactGroup(g *group) {
 		g.levels = kept
 		t.noteLevels(g, old)
 
-		if len(g.levels) >= beforeLevels && g.segmentCount() >= beforeSegs {
+		if len(g.levels) >= beforeLevels && t.nSegments >= beforeSegs {
 			break
 		}
 	}
@@ -894,16 +909,108 @@ func (g *group) segmentCount() int {
 	return n
 }
 
-// compactInsert is segUpdate for a segment that is *already* registered
-// in the CRB: no re-registration or dedup is needed (the CRB is globally
-// consistent), only the level insert and victim handling.
-func (t *Table) compactInsert(g *group, seg Segment) {
-	if len(g.levels) == 0 {
-		g.levels = append(g.levels, level{})
-		t.noteLevels(g, 0)
+// mergeLevel merges the popped top level into g.levels[0] in one linear
+// sweep. It builds exactly the level that re-inserting top's segments
+// one at a time with placeSegment would build, and makes the same
+// segMerge, pushDown and noteAdd/noteRemove calls in the same order, but
+// without a search, a level memmove and a stamp per segment.
+//
+// The sweep keeps the merged level so far in t.mergeOut and the level
+// below's unconsumed segments in t.mergePend, a stack with the lowest
+// start on top. For each top segment T, the pending segments that start
+// before T are emitted; T's victims are then the last emitted segment if
+// it reaches T, followed by every pending segment starting within T's
+// span — placeSegment's victim range. A victim trimmed clear of T stays
+// on the side of T it now lies on: pending survivors stay claimable by
+// the next top segment. The CRB already holds every top segment's LPAs
+// (the CRB is group-wide), so no dedup runs, and T's LPA set is stamped
+// only when it has victims to trim.
+//
+// pushDown may append or insert levels and so move g.levels; the level
+// being merged is only re-addressed once the sweep is done.
+func (t *Table) mergeLevel(g *group, top level) {
+	below := g.levels[0]
+	out := t.mergeOut[:0]
+	pend := t.mergePend[:0]
+	for i := len(below.segs) - 1; i >= 0; i-- {
+		pend = append(pend, below.segs[i])
 	}
-	t.stampSegment(g, seg)
-	t.placeSegment(g, seg, 0)
+	for _, seg := range top.segs {
+		startOff := seg.Start()
+		endOff := uint16(startOff) + uint16(seg.L)
+		for len(pend) > 0 && pend[len(pend)-1].Start() < startOff {
+			out = append(out, pend[len(pend)-1])
+			pend = pend[:len(pend)-1]
+		}
+		victims := t.victims[:0]
+		if n := len(out); n > 0 && out[n-1].End() >= seg.SLPA {
+			victims = append(victims, out[n-1])
+			out = out[:n-1]
+		}
+		for len(pend) > 0 && uint16(pend[len(pend)-1].Start()) <= endOff {
+			victims = append(victims, pend[len(pend)-1])
+			pend = pend[:len(pend)-1]
+		}
+		t.victims = victims
+		out = append(out, seg)
+		t.noteAdd(seg)
+		if len(victims) == 0 {
+			continue
+		}
+
+		t.stampSegment(g, seg)
+		for _, victim := range victims {
+			t.noteRemove(victim)
+			merged, removed := t.segMerge(g, victim)
+			if removed {
+				continue
+			}
+			if merged.Overlaps(seg) {
+				t.pushDown(g, merged, 0)
+				t.noteAdd(merged)
+				continue
+			}
+			// Disjoint after trimming: it stays in this level, next to T.
+			// Only the left neighbor can end up left of T (its first LPA
+			// precedes T's) and only the last victim right of it (every
+			// other one lies inside T's span), so the left survivor goes
+			// just before T and the right one back on top of the pending
+			// stack, where the next top segment may claim it.
+			if merged.SLPA < seg.SLPA {
+				out = append(out[:len(out)-1], merged, seg)
+			} else {
+				pend = append(pend, merged)
+			}
+			t.noteAdd(merged)
+		}
+	}
+	for i := len(pend) - 1; i >= 0; i-- {
+		out = append(out, pend[i])
+	}
+
+	// Write the merged level into whichever old array fits it with the
+	// least spare room (keys and segs each on their own: their capacities
+	// grow apart), growing the level below's when neither fits.
+	segs, keys := below.segs, below.keys
+	if fits(cap(top.segs), cap(segs), len(out)) {
+		segs = top.segs
+	}
+	if fits(cap(top.keys), cap(keys), len(out)) {
+		keys = top.keys
+	}
+	lvl := &g.levels[0]
+	lvl.segs = append(segs[:0], out...)
+	lvl.keys = keys[:0]
+	for i := range out {
+		lvl.keys = append(lvl.keys, out[i].Start())
+	}
+	t.mergeOut, t.mergePend = out[:0], pend[:0]
+}
+
+// fits reports whether a buffer of capacity c holds n elements and is the
+// tighter choice over the current one of capacity cur.
+func fits(c, cur, n int) bool {
+	return c >= n && (cur < n || c < cur)
 }
 
 // Stats summarizes the table for the paper's memory and structure

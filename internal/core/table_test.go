@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -426,6 +427,241 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		const maxAllocs = 32
 		if avg > maxAllocs {
 			t.Errorf("gamma %d: Update allocates %.1f objects per batch, want ≤ %d", gamma, avg, maxAllocs)
+		}
+	}
+}
+
+// compactGroupReplay is the per-segment compaction pass that mergeLevel
+// replaced, kept as the differential oracle: each pass pops the top level
+// and re-inserts its segments into the level below one at a time through
+// placeSegment, then drops emptied levels and stops at the first pass that
+// makes no progress.
+func (t *Table) compactGroupReplay(g *group) {
+	for len(g.levels) > 1 {
+		beforeLevels := len(g.levels)
+		beforeSegs := g.segmentCount()
+
+		top := g.levels[0]
+		old := len(g.levels)
+		g.levels = g.levels[1:]
+		t.noteLevels(g, old)
+		for _, seg := range top.segs {
+			t.noteRemove(seg)
+		}
+		for _, seg := range top.segs {
+			t.stampSegment(g, seg)
+			t.placeSegment(g, seg, 0)
+		}
+		old = len(g.levels)
+		kept := g.levels[:0]
+		for _, lvl := range g.levels {
+			if lvl.len() > 0 {
+				kept = append(kept, lvl)
+			}
+		}
+		g.levels = kept
+		t.noteLevels(g, old)
+
+		if len(g.levels) >= beforeLevels && g.segmentCount() >= beforeSegs {
+			break
+		}
+	}
+	if len(g.levels) == 0 {
+		g.levels = nil
+	}
+}
+
+// relearnReplay is Relearn with the oracle compaction pass.
+func (t *Table) relearnReplay(pairs []addr.Mapping) {
+	for i := 0; i < len(pairs); {
+		gid := addr.Group(pairs[i].LPA)
+		j := i + 1
+		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
+			j++
+		}
+		learned := t.learner.learn(pairs[i:j], t.GroupGamma(gid))
+		t.insertRun(learned, pairs[i:j])
+		if g := t.lookupGroup(gid); g != nil {
+			t.compactGroupReplay(g)
+		}
+		t.refreshExactBits(pairs[i:j])
+		i = j
+	}
+}
+
+// compactTwin runs one mutation stream through two tables: fast uses the
+// production compaction, replay the per-segment oracle. Every other step
+// is the same code on both, so after each operation the two must hold
+// structurally identical groups.
+type compactTwin struct {
+	fast, replay *Table
+	ppa          addr.PPA
+	peakLevels   int
+}
+
+// compactSpace is the LPA span a compaction stream writes: four groups.
+const compactSpace = 4 * addr.GroupSize
+
+func newCompactTwin(gamma int, bitmap bool) *compactTwin {
+	c := &compactTwin{fast: NewTable(gamma), replay: NewTable(gamma), ppa: 1}
+	if bitmap {
+		c.fast.EnableExactBitmap()
+		c.replay.EnableExactBitmap()
+	}
+	return c
+}
+
+// assignPPAs maps an LPA set (sorted and deduplicated here) to
+// ascending PPAs drawn from *next; skip > 0 leaves a one-page gap before
+// every skip-th page, so γ > 0 fits approximate segments.
+func assignPPAs(lpas []addr.LPA, next *addr.PPA, skip int) []addr.Mapping {
+	sortLPAs(lpas)
+	pairs := make([]addr.Mapping, 0, len(lpas))
+	for i, l := range lpas {
+		if i > 0 && l == lpas[i-1] {
+			continue
+		}
+		if skip > 0 && i%skip == 0 {
+			*next++
+		}
+		pairs = append(pairs, addr.Mapping{LPA: l, PPA: *next})
+		*next++
+	}
+	return pairs
+}
+
+// step applies one operation drawn from rng to both tables: scans,
+// strided and irregular runs, scattered small hot writes, GC relocation
+// batches relearned (and so compacted) group by group, whole-table
+// compaction, and a page-out round trip that leaves a group's levels with
+// cap == len.
+func (c *compactTwin) step(kind int, rng *rand.Rand) {
+	var lpas []addr.LPA
+	skip := 0
+	switch kind {
+	case 0: // 32-page scan
+		start := rng.Intn(compactSpace - 32)
+		for i := 0; i < 32; i++ {
+			lpas = append(lpas, addr.LPA(start+i))
+		}
+	case 1: // strided run
+		st, start := 2+rng.Intn(4), rng.Intn(compactSpace/2)
+		for i := 0; i < 8+rng.Intn(32); i++ {
+			lpas = append(lpas, addr.LPA(start+i*st))
+		}
+	case 2: // irregular ascending run
+		l := rng.Intn(compactSpace / 2)
+		for i := 0; i < 4+rng.Intn(40); i++ {
+			l += 1 + rng.Intn(4)
+			lpas = append(lpas, addr.LPA(l))
+		}
+		skip = 1 + rng.Intn(4)
+	case 3, 4, 5: // scattered 1–4-page hot writes, mostly in group 0
+		for k := 0; k < 1+rng.Intn(6); k++ {
+			start := rng.Intn(addr.GroupSize - 4)
+			if rng.Intn(4) == 0 {
+				start = rng.Intn(compactSpace - 4)
+			}
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				lpas = append(lpas, addr.LPA(start+i))
+			}
+		}
+		skip = rng.Intn(3)
+	case 6: // GC relocation batch: a sample of one or two groups' LPAs
+		gid := rng.Intn(compactSpace / addr.GroupSize)
+		span := addr.GroupSize * (1 + rng.Intn(2))
+		keep := 1 + rng.Intn(4)
+		for o := 0; o < span && gid*addr.GroupSize+o < compactSpace; o++ {
+			if rng.Intn(keep) == 0 {
+				lpas = append(lpas, addr.LPA(gid*addr.GroupSize+o))
+			}
+		}
+		if len(lpas) == 0 {
+			return
+		}
+		pairs := assignPPAs(lpas, &c.ppa, 0)
+		c.fast.Relearn(pairs)
+		c.replay.relearnReplay(pairs)
+		return
+	case 7:
+		c.fast.Compact()
+		c.replay.eachGroup(func(_ addr.GroupID, g *group) { c.replay.compactGroupReplay(g) })
+		return
+	case 8: // page-out round trip
+		gid := addr.GroupID(rng.Intn(compactSpace / addr.GroupSize))
+		for _, tab := range []*Table{c.fast, c.replay} {
+			if g := tab.detachGroup(gid); g != nil {
+				g.tighten()
+				if err := tab.attachGroup(gid, g); err != nil {
+					panic(err)
+				}
+			}
+		}
+		return
+	}
+	pairs := assignPPAs(lpas, &c.ppa, skip)
+	c.fast.Update(pairs)
+	c.replay.Update(pairs)
+}
+
+// check reports the first structural difference between the twins.
+func (c *compactTwin) check() error {
+	if a, b := c.fast.Stats(), c.replay.Stats(); a != b {
+		return fmt.Errorf("stats %+v, oracle %+v", a, b)
+	}
+	if n := c.fast.Stats().MaxLevels; n > c.peakLevels {
+		c.peakLevels = n
+	}
+	for id := 0; id < compactSpace/addr.GroupSize; id++ {
+		a, b := c.fast.lookupGroup(addr.GroupID(id)), c.replay.lookupGroup(addr.GroupID(id))
+		if (a == nil) != (b == nil) {
+			return fmt.Errorf("group %d resident in only one table", id)
+		}
+		if a == nil {
+			continue
+		}
+		if err := sameGroup(a, b); err != nil {
+			return fmt.Errorf("group %d: %v", id, err)
+		}
+	}
+	return nil
+}
+
+func sortLPAs(lpas []addr.LPA) {
+	for i := 1; i < len(lpas); i++ {
+		for j := i; j > 0 && lpas[j] < lpas[j-1]; j-- {
+			lpas[j], lpas[j-1] = lpas[j-1], lpas[j]
+		}
+	}
+}
+
+// TestCompactMatchesPerSegmentReplay is the differential contract of the
+// one-sweep merge: random update, relearn, compaction and page-out
+// streams must leave every group structurally identical — levels, keys,
+// segments, CRB and tune block — to the per-segment oracle, with equal
+// statistics, after every operation. Hot writes dominate and whole-table
+// compaction is rare, so level stacks grow past 100 levels.
+func TestCompactMatchesPerSegmentReplay(t *testing.T) {
+	weights := []int{0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6, 8}
+	for _, gamma := range []int{0, 2, 4, 16} {
+		for _, bitmap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("gamma%d/bitmap=%v", gamma, bitmap), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(7 + gamma)))
+				c := newCompactTwin(gamma, bitmap)
+				for op := 0; op < 3000; op++ {
+					kind := weights[rng.Intn(len(weights))]
+					if rng.Intn(1000) == 0 {
+						kind = 7
+					}
+					c.step(kind, rng)
+					if err := c.check(); err != nil {
+						t.Fatalf("op %d (kind %d): %v", op, kind, err)
+					}
+				}
+				if c.peakLevels < 100 {
+					t.Errorf("level stacks peaked at %d levels; the stream should exceed 100", c.peakLevels)
+				}
+			})
 		}
 	}
 }
